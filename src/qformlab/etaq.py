@@ -1,14 +1,16 @@
 """Eta quotients on Gamma_0(N): cusp orders, holomorphy, character.
 
 An eta quotient is prod_{delta | N} eta(delta z)^{r_delta}.  Everything
-here is exact: cusp orders are Fractions, the holomorphy check is a set
-of integer congruences and sign conditions, and the nebentypus character
-is read off the squarefree part of prod delta^{r_delta}.
+here is exact: a cusp order is summed over the exponents in integers and
+returned as one Fraction, the holomorphy check is a set of integer
+congruences and sign conditions, and the nebentypus character is read off
+the squarefree part of prod delta^{r_delta}.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .characters import chi
@@ -25,8 +27,9 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=256)
 def divisors(n: int) -> tuple:
-    """Positive divisors of n in increasing order."""
+    """Positive divisors of n in increasing order (memoized per n)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     small, large = [], []
@@ -147,17 +150,22 @@ class Cusp:
 
 
 def cusp_order(f: EtaQuotient, c) -> Fraction:
-    """Order of f at any cusp with denominator c, in local-variable units."""
+    """Order of f at any cusp with denominator c, in local-variable units.
+
+    The order is N / (24 gcd(c^2, N)) * sum gcd(delta, c)^2 r_delta / delta;
+    since delta | N the sum is taken over gcd(delta, c)^2 r_delta (N / delta)
+    in integers and divided once at the end.
+    """
     if isinstance(c, Cusp):
         c = c.denominator
     n = f.level
     if n % c:
         raise ValueError("cusp denominator %d must divide the level %d" % (c, n))
-    total = Fraction(0)
+    total = 0
     for d, r in f.items():
         if r:
-            total += Fraction(gcd(d, c) ** 2 * r, d)
-    return Fraction(n, 24 * gcd(c * c, n)) * total
+            total += gcd(d, c) ** 2 * r * (n // d)
+    return Fraction(total, 24 * gcd(c * c, n))
 
 
 def character_of(f: EtaQuotient):

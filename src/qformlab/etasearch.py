@@ -19,10 +19,11 @@ particular quotients to twisted divisor sums.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .characters import DirichletChar, chi, sigma_twisted
-from .etaq import EtaQuotient, cusp_order, divisors, ligozat_check
+from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, eta_quotient_expansion
 from .spaces import SPACE_DISCRIMINANTS, basis_expansions, build_basis, sturm_bound
 
@@ -224,13 +225,17 @@ def _invert(rows):
 class _SpanSolver:
     """Exact membership test for the span of fixed series columns.
 
-    Sampling rows q^0..q^12 suffices at the Sturm bound; the pivot-row
-    inverse is precomputed once so each candidate costs one small
-    matrix-vector product plus a full residual check.
+    Sampling rows q^0..q^12 suffices at the Sturm bound.  The pivot-row
+    inverse is computed once and kept as an integer matrix adj with one
+    common denominator D (inverse = adj / D), and every sampled row a_i
+    is kept scaled by the least m_i that makes it integral.  A candidate
+    y then costs x = adj y_pivot and the residual test
+    (m_i a_i) . x == m_i D y_i on every sampled row, the non-pivot rows
+    first since they reject; on integer y all of it is integer
+    arithmetic, and only a hit builds the Fraction coordinates x / D.
     """
 
     def __init__(self, columns, rows):
-        self.nrows = rows
         self.samples = [[c.qcoeff(n) for c in columns] for n in range(rows)]
         ncols = len(columns)
         work = [list(r) for r in self.samples]
@@ -250,23 +255,25 @@ class _SpanSolver:
             pivot_rows.append(idx[rpos])
             rpos += 1
         self.pivot_rows = pivot_rows
-        self.inverse = _invert([self.samples[i] for i in pivot_rows])
+        inverse = _invert([self.samples[i] for i in pivot_rows])
+        den = lcm(*(v.denominator for row in inverse for v in row))
+        self.den = den
+        self.adj = [[int(v * den) for v in row] for row in inverse]
+        # (row index, m_i a_i, m_i D), residual rows before pivot rows
+        self.checks = []
+        for i in sorted(range(rows), key=lambda i: i in pivot_rows):
+            row = [Fraction(a) for a in self.samples[i]]
+            m = lcm(*(a.denominator for a in row))
+            self.checks.append((i, [int(a * m) for a in row], m * den))
 
     def solve(self, y):
         """Coordinates x with A x = y on all sampled rows, or None."""
-        yr = [y[i] for i in self.pivot_rows]
-        x = [
-            sum(row[j] * yr[j] for j in range(len(yr)))
-            for row in self.inverse
-        ]
-        for row, target in zip(self.samples, y):
-            acc = 0
-            for a, b in zip(row, x):
-                if a and b:
-                    acc += a * b
-            if acc != target:
+        yp = [y[i] for i in self.pivot_rows]
+        x = [sum(map(mul, row, yp)) for row in self.adj]
+        for i, row, scale in self.checks:
+            if sum(map(mul, row, x)) != scale * y[i]:
                 return None
-        return tuple(x)
+        return tuple(Fraction(v, self.den) for v in x)
 
 
 _SOLVERS: dict = {}
@@ -285,11 +292,12 @@ def _solver_for(disc: int) -> _SpanSolver:
 def eisenstein_expressible(f: EtaQuotient, char=None):
     """Coordinates of f over the Eisenstein part of its space, or None.
 
-    The candidate is solved on q^0..q^12 and then re-verified through
-    q^60; a mismatch anywhere returns None.
+    A quotient of fractional order at infinity is not in the space.
+    Otherwise the candidate is solved on q^0..q^12 and then re-verified
+    through q^60; a mismatch anywhere returns None.
     """
-    from .etaq import character_of
-
+    if f.valuation24() % GRADE:
+        return None
     disc = _as_disc(character_of(f) if char is None else char)
     rows = sturm_bound() + 1
     g = eta_quotient_expansion(f, GRADE * rows)
@@ -419,8 +427,6 @@ class IdentityReport:
 
 def verify_remark_identities(precision: int = 61):
     """Check every displayed identity coefficient by coefficient."""
-    from .etaq import parse_eta
-
     reports = []
     for ident in REMARK_IDENTITIES:
         lhs = eta_quotient_expansion(parse_eta(ident.label), GRADE * precision)

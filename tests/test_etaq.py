@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,26 @@ def test_weight3_cusp_orders_sum_to_12(exps):
     f = EtaQuotient(24, exps)
     total = sum(cusp_order(f, c) for c in divisors(24))
     assert total == Fraction(sum(exps), 2) * 4  # = 12 exactly when weight is 3
+
+
+@st.composite
+def quotients(draw):
+    """A random level N <= 72 with one random exponent per divisor."""
+    level = draw(st.integers(min_value=1, max_value=72))
+    size = len(divisors(level))
+    exps = draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=size, max_size=size))
+    return EtaQuotient(level, exps)
+
+
+@given(quotients())
+def test_cusp_order_matches_textbook_formula(f):
+    n = f.level
+    for c in divisors(n):
+        ref = Fraction(n, 24 * gcd(c * c, n)) * sum(
+            (Fraction(gcd(d, c) ** 2 * r, d) for d, r in f.items()), Fraction(0)
+        )
+        assert cusp_order(f, c) == ref
+        assert cusp_order(f, Cusp(c, n)) == ref
 
 
 def test_character_of_examples():

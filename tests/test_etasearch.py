@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from qformlab.arith import UNIQUE, ExactMatrix
 from qformlab.characters import chi
 from qformlab.etaq import EtaQuotient, cusp_order, divisors, ligozat_check, parse_eta
 from qformlab.etasearch import (
@@ -9,8 +11,10 @@ from qformlab.etasearch import (
     DIVISORS24,
     REMARK_IDENTITIES,
     _brute_fiber,
+    _census_all,
     _census_exponents,
     _R_FROM_X,
+    _solver_for,
     _W_FROM_X,
     census_counts,
     census_crosscheck,
@@ -20,6 +24,7 @@ from qformlab.etasearch import (
     verify_remark_identities,
 )
 from qformlab.qseries import GRADE, eta_quotient_expansion
+from qformlab.spaces import SPACE_DISCRIMINANTS, sturm_bound
 
 EXPECTED = {-3: (6332, 140), -4: (6288, 40), -8: (2424, 4), -24: (2424, 0)}
 
@@ -107,6 +112,43 @@ def test_eisenstein_expressible_known_values():
 def test_eisenstein_expressible_rejects_cusp_form():
     f = parse_eta("eta24[0,3,0,-4,-5,2,16,-6]")
     assert eisenstein_expressible(f) is None
+
+
+def test_eisenstein_expressible_rejects_fractional_order():
+    # eta(z)^6 has weight 3 and character chi(-4) but order 1/4 at
+    # infinity: no integer power of q occurs, so it is in no space
+    f = EtaQuotient(24, (6, 0, 0, 0, 0, 0, 0, 0))
+    assert f.valuation24() % GRADE
+    assert eisenstein_expressible(f) is None
+    assert eisenstein_expressible(f, -4) is None
+
+
+@pytest.mark.slow
+def test_span_solver_matches_reference_solver():
+    # the integer span test against ExactMatrix.solve_linear on the same
+    # sampled rows: every census hit, plus seeded non-hits of each space
+    rng = random.Random(24)
+    rows = sturm_bound() + 1
+    hits = 0
+    for disc in SPACE_DISCRIMINANTS:
+        solver = _solver_for(disc)
+        reference = ExactMatrix.from_rows(solver.samples)
+        misses = []
+        for f in _census_all()[disc]:
+            g = eta_quotient_expansion(f, GRADE * rows)
+            y = [g.qcoeff(n) for n in range(rows)]
+            x = solver.solve(y)
+            if x is None:
+                misses.append(y)
+                continue
+            hits += 1
+            status, sol = reference.solve_linear(y)
+            assert status == UNIQUE
+            assert x == tuple(sol)
+        for y in rng.sample(misses, 150):
+            status, _ = reference.solve_linear(y)
+            assert status != UNIQUE
+    assert hits == sum(EXPECTED[d][1] for d in SPACE_DISCRIMINANTS)
 
 
 def test_brute_fiber_matches_census_fiber():
