@@ -255,13 +255,6 @@ class NumberFieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-def nf_mul(a: NumberFieldElement, b: NumberFieldElement) -> NumberFieldElement:
-    """Reduced product in a shared number field."""
-    if a.field != b.field:
-        raise ValueError("mismatched number fields")
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # exact dense matrices
 # ---------------------------------------------------------------------------

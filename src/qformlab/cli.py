@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import floor
 
 from .arith import format_rational
 from .eisenstein import eisenstein3, parse_e3
@@ -94,6 +95,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_eta_expand(args) -> int:
     f = parse_eta(args.label)
+    order = Fraction(f.valuation24(), GRADE)
+    if args.precision + 1 <= order:
+        raise ValueError(
+            "--precision %d is below the order at infinity %s of %s; use --precision %d or more"
+            % (args.precision, format_rational(order), f.label(), floor(order))
+        )
     series = eta_quotient_expansion(f, GRADE * (args.precision + 1))
     payload = {"label": f.label(), "precision": args.precision}
     payload.update(_series_json(series))

@@ -25,7 +25,7 @@ from .arith import (
 from .characters import chi
 from .etaq import divisors
 from .qseries import GRADE, QSeries
-from .spaces import basis_expansions, build_basis, sturm_bound
+from .spaces import build_basis, cusp_expansions, sturm_bound
 
 __all__ = [
     "K1",
@@ -114,8 +114,13 @@ def get_spec(name: str) -> NewformSpec:
 
 
 def _cusp_expansions(disc: int, precision: int):
+    """The space basis and its cusp expansions cut to q^(precision-1)."""
     basis = build_basis(disc)
-    return basis, basis_expansions(basis, precision)[len(basis.eisenstein):]
+    trunc = GRADE * precision
+    return basis, tuple(
+        QSeries(e.val, e.coeffs[: trunc - e.val], trunc)
+        for e in cusp_expansions(basis, precision)
+    )
 
 
 def build_newform(name: str, precision: int = 120) -> QSeries:

@@ -11,6 +11,7 @@ coefficients; nothing here ever touches floating point.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .etaq import EtaQuotient
 
@@ -250,75 +251,9 @@ def _nnz(f: QSeries) -> int:
     return sum(1 for c in f.coeffs if c)
 
 
-def series_add(f: QSeries, g: QSeries) -> QSeries:
-    return f + g
-
-
-def series_mul(f: QSeries, g: QSeries) -> QSeries:
-    return f * g
-
-
-def series_pow(f: QSeries, e: int) -> QSeries:
-    return f**e
-
-
 # ---------------------------------------------------------------------------
-# integer polynomial kernel (plain q exponents, dense int lists)
+# integer eta-product kernel (plain q exponents, dense int lists)
 # ---------------------------------------------------------------------------
-
-def _poly_mul_trunc(a, b, L):
-    """(a * b) mod q^L for dense int coefficient lists."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * min(L, len(a) + len(b) - 1)
-    n = len(out)
-    for i, x in enumerate(a):
-        if not x or i >= n:
-            continue
-        top = min(len(b), n - i)
-        for j in range(top):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_inverse_trunc(a, L):
-    """1/a mod q^L; requires a[0] in {1, -1} (integer-exact branch)."""
-    c0 = a[0]
-    if c0 not in (1, -1):
-        raise ValueError("integer series inversion needs unit leading coefficient")
-    out = [0] * L
-    out[0] = c0
-    for k in range(1, L):
-        acc = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j] and out[k - j]:
-                acc += a[j] * out[k - j]
-        if acc:
-            out[k] = -acc * c0
-    return out
-
-
-def _poly_pow_trunc(a, e, L):
-    """a^e mod q^L over the integers; negative e allowed for unit a[0]."""
-    if e < 0:
-        a = _poly_inverse_trunc(a, L)
-        e = -e
-    out = None
-    base = a[:L]
-    while e:
-        if e & 1:
-            out = base[:] if out is None else _poly_mul_trunc(out, base, L)
-        e >>= 1
-        if e:
-            base = _poly_mul_trunc(base, base, L)
-    if out is None:
-        out = [1]
-    if len(out) < L:
-        out = out + [0] * (L - len(out))
-    return out
-
 
 def euler_coeffs(L: int):
     """prod_{n>=1} (1 - q^n) mod q^L by the pentagonal number theorem."""
@@ -340,17 +275,25 @@ def euler_coeffs(L: int):
     return out
 
 
-_EULER_POW_CACHE: dict[int, list] = {}
+# exponent tuple -> unit coefficients known so far, least recently used
+# first; perfbench/tracing.py reads it under this older name
+_EULER_POW_CACHE: dict[tuple, list] = {}
+_EULER_POW_CACHE_SIZE = 64
 
 
-def euler_power(e: int, L: int):
-    """prod (1 - q^n)^e mod q^L, cached per exponent."""
-    cached = _EULER_POW_CACHE.get(e)
-    if cached is not None and len(cached) >= L:
-        return cached[:L]
-    out = _poly_pow_trunc(euler_coeffs(L), e, L)
-    _EULER_POW_CACHE[e] = out
-    return out[:L]
+def _log_derivative(key, L: int):
+    """g_0..g_(L-1) of q f'/f for f = prod_delta prod_n (1 - q^(delta n))^r:
+    g_N = -sum_{delta | N} r_delta delta sigma(N / delta)."""
+    sigma = [0] * L
+    for d in range(1, L):
+        for m in range(d, L, d):
+            sigma[m] += d
+    g = [0] * L
+    for delta, r in key:
+        w = r * delta
+        for m in range(1, (L - 1) // delta + 1):
+            g[delta * m] -= w * sigma[m]
+    return g
 
 
 def eta_unit_coeffs(exponents_by_divisor, L: int):
@@ -358,23 +301,30 @@ def eta_unit_coeffs(exponents_by_divisor, L: int):
 
     exponents_by_divisor: iterable of (delta, r_delta); returns the dense
     int coefficient list of prod_delta (prod_n (1 - q^(delta n)))^{r_delta}
-    mod q^L.
+    mod q^L.  The coefficients a_n follow from the log derivative g of the
+    product (Koehler, Eta Products and Theta Series Identities, 2011):
+    n a_n = sum_{k=1..n} g_k a_(n-k), each division checked to be exact.
+    The coefficients known so far are cached per exponent tuple, so a
+    longer request resumes where the last one stopped.
     """
-    out = [1] + [0] * (L - 1)
-    for delta, r in exponents_by_divisor:
-        if not r:
-            continue
-        need = (L + delta - 1) // delta
-        p = euler_power(r, need)
-        # inflate q -> q^delta
-        factor = [0] * min(L, (need - 1) * delta + 1)
-        for j, c in enumerate(p):
-            if c and j * delta < L:
-                factor[j * delta] = c
-        out = _poly_mul_trunc(out, factor, L)
-        if len(out) < L:
-            out += [0] * (L - len(out))
-    return out
+    key = tuple((d, r) for d, r in exponents_by_divisor if r)
+    a = _EULER_POW_CACHE.pop(key, None) or [1]
+    if len(a) < L:
+        # grev[L-1-k] = g_k, so grev[L-1-n:L-1] is g_n, ..., g_1
+        grev = _log_derivative(key, L)[::-1]
+        top = L - 1
+        for n in range(len(a), L):
+            q, rem = divmod(sum(map(mul, a, grev[top - n:top])), n)
+            if rem:
+                raise ArithmeticError(
+                    "eta quotient %s: inexact division at q^%d"
+                    % (" ".join("eta(%dz)^%s" % dr for dr in key) or "1", n)
+                )
+            a.append(q)
+    if len(_EULER_POW_CACHE) >= _EULER_POW_CACHE_SIZE:
+        del _EULER_POW_CACHE[next(iter(_EULER_POW_CACHE))]
+    _EULER_POW_CACHE[key] = a
+    return a[:L]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import isqrt
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient
 from .qseries import GRADE, QSeries, eta_quotient_expansion
-from .spaces import basis_expansions, build_basis, solve_in_basis
+from .spaces import build_basis, cusp_expansions, solve_in_basis
 
 __all__ = [
     "QuadForm",
@@ -184,19 +184,16 @@ def derive_formula(exponents, precision: int = 61) -> FormulaRow:
     )
 
 
-def rep_count_formula(row: FormulaRow, n: int, precision: int | None = None) -> Fraction:
+def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
     """Evaluate the formula at n >= 1: twisted divisor sums plus cusp terms."""
     if n < 1:
         raise ValueError("the formula covers n >= 1")
     basis = build_basis(row.character.discriminant)
-    if precision is None:
-        precision = max(61, n + 1)
-    exps = basis_expansions(basis, precision)
     total = Fraction(0)
     for coeff, spec in zip(row.eisenstein, basis.eisenstein):
         if coeff and n % spec.t == 0:
             total += coeff * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
-    for coeff, series in zip(row.cusp, exps[len(basis.eisenstein):]):
+    for coeff, series in zip(row.cusp, cusp_expansions(basis, max(61, n + 1))):
         if coeff:
             total += coeff * series.qcoeff(n)
     return total

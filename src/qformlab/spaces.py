@@ -22,6 +22,7 @@ __all__ = [
     "BasisReport",
     "build_basis",
     "basis_expansions",
+    "cusp_expansions",
     "verify_basis",
     "solve_in_basis",
     "sturm_bound",
@@ -126,6 +127,25 @@ def basis_expansions(basis: SpaceBasis, precision: int):
         cusp = [eta_quotient_expansion(f, GRADE * precision) for f in basis.cusp]
         got = tuple(eis + cusp)
         _EXPANSIONS[key] = got
+    return got
+
+
+_CUSP: dict = {}  # discriminant -> cusp expansions at the largest precision asked
+
+
+def cusp_expansions(basis: SpaceBasis, precision: int):
+    """QSeries for the cusp elements, q^0..q^(precision-1) known at least.
+
+    One tuple is kept per space and rebuilt only when a larger precision
+    is asked for; the eta-quotient kernel then resumes its cached
+    coefficients instead of starting over.  Readers truncate at their
+    own precision.
+    """
+    disc = basis.character.discriminant
+    got = _CUSP.get(disc)
+    if got is None or got[0].qprecision() < precision:
+        got = tuple(eta_quotient_expansion(f, GRADE * precision) for f in basis.cusp)
+        _CUSP[disc] = got
     return got
 
 

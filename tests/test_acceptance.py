@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from qformlab import etasearch
 from qformlab.characters import character_table, chi, gen_bernoulli3
 from qformlab.etasearch import census_counts, verify_remark_identities
 from qformlab.newforms import (
@@ -141,8 +142,10 @@ def test_criterion_7_newforms():
 
 
 @pytest.mark.slow
-def test_criterion_8_census():
-    got = census_counts()  # every member re-passes ligozat_check internally
+def test_criterion_8_census(census, monkeypatch):
+    # every member re-passes ligozat_check inside enumerate_space
+    monkeypatch.setattr(etasearch, "enumerate_space", census.__getitem__)
+    got = census_counts()
     want = {-3: (6332, 140), -4: (6288, 40), -8: (2424, 4), -24: (2424, 0)}
     _line(8, got == want, "members and Eisenstein-expressible counts %s" % (got,))
 

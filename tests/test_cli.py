@@ -35,6 +35,17 @@ def test_eta_expand_json_is_deterministic(capsys):
     assert list(payload) == sorted(payload)
 
 
+def test_eta_expand_precision_below_order_exits_2(capsys):
+    # the error speaks in powers of q, not in grade-24 exponents
+    code, out, err = run_cli(capsys, "eta-expand", "eta24[0,3,0,-4,-5,2,16,-6]", "--precision", "0")
+    assert code == 2
+    assert out == ""
+    assert "--precision 0 is below the order at infinity 1 of eta24[0,3,0,-4,-5,2,16,-6]" in err
+    code, out, _ = run_cli(capsys, "eta-expand", "eta8[0,0,3,0]", "--precision", "0")
+    assert code == 0
+    assert out.strip() == "eta8[0,0,3,0] = q^(1/2) + O(q)"
+
+
 def test_bad_label_exits_2(capsys):
     code, _, err = run_cli(capsys, "eta-expand", "eta24[1,2]")
     assert code == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qformlab import etasearch
 from qformlab.arith import UNIQUE, ExactMatrix
 from qformlab.characters import chi
 from qformlab.etaq import EtaQuotient, cusp_order, divisors, ligozat_check, parse_eta
@@ -19,7 +20,6 @@ from qformlab.etasearch import (
     census_counts,
     census_crosscheck,
     eisenstein_expressible,
-    enumerate_space,
     remark_rhs,
     verify_remark_identities,
 )
@@ -70,13 +70,14 @@ def test_census_exponent_invariants():
 
 
 @pytest.mark.slow
-def test_census_counts():
+def test_census_counts(census, monkeypatch):
+    monkeypatch.setattr(etasearch, "enumerate_space", census.__getitem__)
     assert census_counts() == EXPECTED
 
 
 @pytest.mark.slow
-def test_enumerate_space_members_are_sound():
-    result = enumerate_space(chi(-8))
+def test_enumerate_space_members_are_sound(census):
+    result = census[-8]
     assert len(result.members) == EXPECTED[-8][0]
     assert result.character == chi(-8)
     for f in result.members[::97]:
@@ -88,8 +89,8 @@ def test_enumerate_space_members_are_sound():
 
 
 @pytest.mark.slow
-def test_expressible_members_expand_correctly():
-    result = enumerate_space(-8)
+def test_expressible_members_expand_correctly(census):
+    result = census[-8]
     assert len(result.eisenstein_expressible) == 4
     from qformlab.spaces import basis_expansions, build_basis
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qformlab import spaces
 from qformlab.arith import ExactMatrix, minimal_polynomial
 from qformlab.characters import chi
 from qformlab.newforms import (
@@ -20,6 +21,8 @@ from qformlab.newforms import (
     rederive_newform,
     solve_back_f1,
 )
+
+from qformlab.quadforms import derive_formula, rep_count_formula
 
 NAMES = tuple(s.name for s in NEWFORMS)
 
@@ -152,3 +155,15 @@ def test_rederive_f1_eigenvalue_field():
     assert red.operator == (5,)
     assert red.field_poly == (32, 0, 1)
     assert minimal_polynomial(-2 * K1.generator() + 2) == (32, 0, 1)
+
+
+def test_build_newform_ignores_a_longer_cusp_cache():
+    spaces._CUSP.clear()
+    before = build_newform("f1", 120)
+    row = derive_formula((0, 3, 0, 3))  # a chi(-3) form
+    assert row.character == chi(-3)
+    rep_count_formula(row, 399)
+    assert spaces._CUSP[-3][0].qprecision() == 400
+    after = build_newform("f1", 120)
+    assert after.trunc == before.trunc == 120 * 24
+    assert after == before

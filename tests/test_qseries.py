@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qformlab import qseries
+
 from qformlab.qseries import (
     GRADE,
     QSeries,
     eta_expansion,
     eta_quotient_expansion,
+    eta_unit_coeffs,
     euler_coeffs,
 )
 from qformlab.etaq import EtaQuotient
@@ -112,14 +115,75 @@ def test_pow_requires_int():
         f ** Fraction(1, 2)
 
 
-def test_eta_quotient_expansion_matches_factor_product():
-    f = EtaQuotient(24, (0, 3, 0, -4, -5, 2, 16, -6))
-    direct = eta_quotient_expansion(f, 8 * GRADE)
-    prod = QSeries.constant(1, 8 * GRADE)
+def _factor_product(f: EtaQuotient, L: int) -> QSeries:
+    """prod eta(delta z)^r_delta through the QSeries ring, relative
+    precision L in q: positive powers multiplied, the rest inverted once."""
+    rel = GRADE * L
+    num = QSeries.constant(1, rel)
+    den = QSeries.constant(1, rel)
     for d, r in f.items():
         if r:
-            prod = prod * eta_expansion(d, 8 * GRADE + abs(r) * d) ** r
-    assert direct.agrees_with(prod, through=8 * GRADE)
+            factor = eta_expansion(d, d + rel) ** abs(r)
+            if r > 0:
+                num = num * factor
+            else:
+                den = den * factor
+    return num * den**-1
+
+
+@given(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=8, max_size=8).filter(
+        lambda r: sum(map(abs, r)) <= 12
+    ),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=50, deadline=None)
+def test_eta_quotient_expansion_matches_factor_product(exponents, L):
+    f = EtaQuotient(24, tuple(exponents))
+    direct = eta_quotient_expansion(f, f.valuation24() + GRADE * L)
+    ref = _factor_product(f, L)
+    assert direct.trunc == ref.trunc
+    assert direct.agrees_with(ref)
+
+
+def test_eta_quotient_expansion_known_cusp_form():
+    f = EtaQuotient(24, (0, 3, 0, -4, -5, 2, 16, -6))
+    direct = eta_quotient_expansion(f, 8 * GRADE)
+    assert direct.agrees_with(_factor_product(f, 7), through=8 * GRADE)
+
+
+def test_eta_unit_coeffs_resumes_exactly():
+    items = ((1, 3), (2, -2), (6, 5), (24, -1))
+    qseries._EULER_POW_CACHE.clear()
+    eta_unit_coeffs(items, 17)
+    resumed = eta_unit_coeffs(items, 90)
+    qseries._EULER_POW_CACHE.clear()
+    assert resumed == eta_unit_coeffs(items, 90)
+    assert eta_unit_coeffs(items, 17) == resumed[:17]
+
+
+def test_eta_unit_coeffs_returns_a_copy():
+    items = ((3, 2), (4, -1))
+    first = eta_unit_coeffs(items, 30)
+    want = list(first)
+    first[5] += 99
+    first.append(7)
+    assert eta_unit_coeffs(items, 30) == want
+    assert eta_unit_coeffs(items, 40)[:30] == want
+
+
+def test_eta_unit_coeffs_cache_is_bounded():
+    qseries._EULER_POW_CACHE.clear()
+    for r in range(1, 3 * qseries._EULER_POW_CACHE_SIZE):
+        eta_unit_coeffs(((1, r), (2, -1)), 8)
+        assert len(qseries._EULER_POW_CACHE) <= qseries._EULER_POW_CACHE_SIZE
+    assert len(qseries._EULER_POW_CACHE) == qseries._EULER_POW_CACHE_SIZE
+
+
+def test_eta_unit_coeffs_checks_every_division():
+    # (1 - q)^(1/2) = 1 - q/2 - ...: the q^1 step divides -1/2 by 1
+    with pytest.raises(ArithmeticError, match=r"q\^1\b"):
+        eta_unit_coeffs(((1, Fraction(1, 2)),), 3)
 
 
 def test_eta_quotient_valuation():

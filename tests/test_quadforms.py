@@ -18,6 +18,7 @@ from qformlab.quadforms import (
     rep_count_formula,
     rep_counts_bruteforce,
 )
+from qformlab import spaces
 from qformlab.spaces import SPACE_DISCRIMINANTS
 
 
@@ -150,3 +151,17 @@ def test_formula_rejects_n0():
     row = derive_formula((6, 0, 0, 0), 13)
     with pytest.raises(ValueError):
         rep_count_formula(row, 0)
+
+
+@pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
+def test_formula_reads_a_growing_cusp_cache(disc):
+    # descending from a cold cache builds one expansion to q^400 and reads
+    # it for every smaller n; ascending grows it one precision at a time
+    exps = next(e for e in all_forms() if classify(e).discriminant == disc)
+    row = derive_formula(exps)
+    theta = genfun(exps, 401)
+    for ns in (range(400, 0, -1), range(1, 401)):
+        spaces._CUSP.clear()
+        for n in ns:
+            assert rep_count_formula(row, n) == theta.qcoeff(n)
+        assert spaces._CUSP[disc][0].qprecision() == 401
