@@ -354,8 +354,7 @@ class ExactMatrix:
                 return INCONSISTENT, None
         if len(pivots) < n:
             return UNDERDETERMINED, None
-        # back substitution; pivots == list(range? not necessarily: cols skipped
-        # never happen here since rank == n means every column is a pivot
+        # back substitution: rank == n, so row k pivots on column k
         x = [None] * n
         for k in range(n - 1, -1, -1):
             row = work[k]
@@ -363,20 +362,8 @@ class ExactMatrix:
             for j in range(k + 1, n):
                 if row[j]:
                     acc = acc - row[j] * x[j]
-            x[k] = acc / row[pivots[k]]
+            x[k] = acc / row[k]
         return UNIQUE, x
-
-    def mul_vector(self, x):
-        if len(x) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            acc = row[0] * x[0]
-            for a, b in zip(row[1:], x[1:]):
-                acc = acc + a * b
-            out.append(acc)
-        return out
 
     def kernel_basis(self):
         """Basis of the right kernel {x : A x = 0}, one vector per free column."""
@@ -402,14 +389,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return "ExactMatrix(%dx%d)" % (self.rows, self.cols)
-
-
-def solve_linear(A: ExactMatrix, y):
-    return A.solve_linear(y)
-
-
-def rank(A: ExactMatrix) -> int:
-    return A.rank()
 
 
 def minimal_polynomial(a: NumberFieldElement):

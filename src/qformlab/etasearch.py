@@ -22,10 +22,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .arith import ExactMatrix
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, eta_quotient_expansion
-from .spaces import SPACE_DISCRIMINANTS, basis_expansions, build_basis, sturm_bound
+from .spaces import SPACE_DISCRIMINANTS, basis_expansions, build_basis, first_deviation, sturm_bound
 
 __all__ = [
     "CensusResult",
@@ -201,79 +202,47 @@ def _as_disc(char) -> int:
 # Eisenstein span membership
 # ---------------------------------------------------------------------------
 
-def _invert(rows):
-    """Inverse of a small square Fraction matrix, Gauss-Jordan."""
-    n = len(rows)
-    work = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
 class _SpanSolver:
     """Exact membership test for the span of fixed series columns.
 
-    Sampling rows q^0..q^12 suffices at the Sturm bound.  The pivot-row
-    inverse is computed once and kept as an integer matrix adj with one
-    common denominator D (inverse = adj / D), and every sampled row a_i
-    is kept scaled by the least m_i that makes it integral.  A candidate
-    y then costs x = adj y_pivot and the residual test
-    (m_i a_i) . x == m_i D y_i on every sampled row, the non-pivot rows
-    first since they reject; on integer y all of it is integer
-    arithmetic, and only a hit builds the Fraction coordinates x / D.
+    Sampling rows q^0..q^12 suffices at the Sturm bound.  With A the
+    sampled matrix, ExactMatrix gives two integer matrices once per
+    space: a basis of the left kernel {z : z A = 0}, each row scaled to
+    integers, and the left inverse (A^T A)^-1 A^T kept as an integer
+    matrix over one denominator.  A candidate y lies in the span exactly
+    when every kernel row is orthogonal to it; only then are its
+    coordinates (left inverse . y) / den built as Fractions.  On integer
+    y every test is integer arithmetic.  The columns are kept whole, for
+    the verification of a hit past the sampled rows.
     """
 
     def __init__(self, columns, rows):
+        self.columns = columns
         self.samples = [[c.qcoeff(n) for c in columns] for n in range(rows)]
-        ncols = len(columns)
-        work = [list(r) for r in self.samples]
-        idx = list(range(rows))
-        pivot_rows = []
-        rpos = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rpos, rows) if work[i][col]), None)
-            if piv is None:
-                raise ValueError("dependent Eisenstein columns")
-            work[rpos], work[piv] = work[piv], work[rpos]
-            idx[rpos], idx[piv] = idx[piv], idx[rpos]
-            for i in range(rpos + 1, rows):
-                if work[i][col]:
-                    f = Fraction(work[i][col], work[rpos][col])
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rpos])]
-            pivot_rows.append(idx[rpos])
-            rpos += 1
-        self.pivot_rows = pivot_rows
-        inverse = _invert([self.samples[i] for i in pivot_rows])
-        den = lcm(*(v.denominator for row in inverse for v in row))
-        self.den = den
-        self.adj = [[int(v * den) for v in row] for row in inverse]
-        # (row index, m_i a_i, m_i D), residual rows before pivot rows
-        self.checks = []
-        for i in sorted(range(rows), key=lambda i: i in pivot_rows):
-            row = [Fraction(a) for a in self.samples[i]]
-            m = lcm(*(a.denominator for a in row))
-            self.checks.append((i, [int(a * m) for a in row], m * den))
+        transposed = [list(col) for col in zip(*self.samples)]
+        kernel = ExactMatrix.from_rows(transposed).kernel_basis()
+        if len(kernel) != rows - len(columns):
+            raise ValueError("dependent Eisenstein columns")
+        self.kernel = []
+        for z in kernel:
+            m = lcm(*(Fraction(v).denominator for v in z))
+            self.kernel.append([int(v * m) for v in z])
+        gram = ExactMatrix.from_rows(
+            [[sum(map(mul, a, b)) for b in transposed] for a in transposed]
+        )
+        # column i of the left inverse is gram^-1 applied to sampled row i
+        inverse_cols = [gram.solve_linear(row)[1] for row in self.samples]
+        self.den = lcm(*(Fraction(v).denominator for col in inverse_cols for v in col))
+        self.left_inverse = [
+            [int(col[j] * self.den) for col in inverse_cols] for j in range(len(columns))
+        ]
 
     def solve(self, y):
         """Coordinates x with A x = y on all sampled rows, or None."""
-        yp = [y[i] for i in self.pivot_rows]
-        x = [sum(map(mul, row, yp)) for row in self.adj]
-        for i, row, scale in self.checks:
-            if sum(map(mul, row, x)) != scale * y[i]:
+        for z in self.kernel:
+            if sum(map(mul, z, y)):
                 return None
-        return tuple(Fraction(v, self.den) for v in x)
+        return tuple(Fraction(sum(map(mul, row, y)), self.den) for row in self.left_inverse)
 
 
 _SOLVERS: dict = {}
@@ -286,7 +255,7 @@ def _solver_for(disc: int) -> _SpanSolver:
         eis = basis_expansions(basis, 61)[: len(basis.eisenstein)]
         got = _SpanSolver(eis, sturm_bound() + 1)
         _SOLVERS[disc] = got
-    return _SOLVERS[disc]
+    return got
 
 
 def eisenstein_expressible(f: EtaQuotient, char=None):
@@ -301,19 +270,13 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     disc = _as_disc(character_of(f) if char is None else char)
     rows = sturm_bound() + 1
     g = eta_quotient_expansion(f, GRADE * rows)
-    coords = _solver_for(disc).solve([g.qcoeff(n) for n in range(rows)])
+    solver = _solver_for(disc)
+    coords = solver.solve([g.qcoeff(n) for n in range(rows)])
     if coords is None:
         return None
-    basis = build_basis(disc)
-    eis = basis_expansions(basis, 61)[: len(basis.eisenstein)]
     full = eta_quotient_expansion(f, GRADE * 61)
-    for n in range(rows, 61):
-        acc = 0
-        for x, e in zip(coords, eis):
-            if x:
-                acc += x * e.qcoeff(n)
-        if acc != full.qcoeff(n):
-            return None
+    if first_deviation(full, coords, solver.columns, rows, 61) is not None:
+        return None
     return coords
 
 

@@ -123,15 +123,20 @@ def _cusp_expansions(disc: int, precision: int):
     )
 
 
+def _combine(scalars, cusp, precision: int) -> QSeries:
+    """sum(scalars * cusp series), q^0..q^(precision-1) known."""
+    total = QSeries.zero(GRADE * precision)
+    for x, series in zip(scalars, cusp):
+        if x:
+            total = total + series.scale(x)
+    return total
+
+
 def build_newform(name: str, precision: int = 120) -> QSeries:
     """q-expansion of the combo, q^0..q^(precision-1) known."""
     spec = get_spec(name)
     _, cusp = _cusp_expansions(spec.discriminant, precision)
-    total = QSeries.zero(GRADE * precision)
-    for x, series in zip(spec.scalars(), cusp):
-        if x:
-            total = total + series.scale(x)
-    return total
+    return _combine(spec.scalars(), cusp, precision)
 
 
 def f1_reference(precision: int = 10) -> QSeries:
@@ -186,8 +191,12 @@ def check_eigenform(name: str, precision: int = 120) -> EigenformReport:
     a(p^2) = a(p)^2 - chi(p) p^2 for p = 5, 7."""
     spec = get_spec(name)
     f = build_newform(name, precision)
-    char = chi(spec.discriminant)
     a = [f.qcoeff(n) for n in range(precision)]
+    return _hecke_report(name, a, chi(spec.discriminant), precision)
+
+
+def _hecke_report(name: str, a, char, precision: int) -> EigenformReport:
+    """Hecke checks on the coefficients a[0..precision-1] of one form."""
     failures = []
     pairs = 0
     for m in range(2, precision):
@@ -434,36 +443,9 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
             continue
         combo = tuple(field.embed(x) / lead for x in vec)
         basis, cusp = _cusp_expansions(spec.discriminant, precision)
-        g = QSeries.zero(GRADE * precision)
-        for x, series in zip(combo, cusp):
-            if x:
-                g = g + series.scale(x)
-        char = basis.character
+        g = _combine(combo, cusp, precision)
         a = [g.qcoeff(n) for n in range(precision)]
-        failures = []
-        pairs = 0
-        for m in range(2, precision):
-            if m * (m + 1) >= precision:
-                break
-            for n in range(m + 1, precision):
-                if m * n >= precision:
-                    break
-                if gcd(m, n) != 1:
-                    continue
-                pairs += 1
-                if a[m * n] != a[m] * a[n]:
-                    failures.append((m, n))
-        p2 = tuple(
-            (q, a[q * q] == a[q] * a[q] - char(q) * q * q) for q in (5, 7)
-        )
-        report = EigenformReport(
-            name="%s/%s" % (name, label),
-            precision=precision,
-            a1_ok=a[1] == 1,
-            pairs_checked=pairs,
-            multiplicative_failures=tuple(failures),
-            hecke_p2_ok=p2,
-        )
+        report = _hecke_report("%s/%s" % (name, label), a, basis.character, precision)
         printed_eigenvalue = spec.field.zero()
         for p in ops:
             printed_eigenvalue = printed_eigenvalue + printed.qcoeff(p)

@@ -25,6 +25,7 @@ __all__ = [
     "cusp_expansions",
     "verify_basis",
     "solve_in_basis",
+    "first_deviation",
     "sturm_bound",
     "SPACE_DISCRIMINANTS",
 ]
@@ -209,6 +210,21 @@ def verify_basis(disc: int) -> BasisReport:
     )
 
 
+def first_deviation(f: QSeries, coords, expansions, start: int, stop: int):
+    """First n in [start, stop) where f and sum(coords * expansions) differ.
+
+    None when the two agree on every coefficient checked.
+    """
+    for n in range(start, stop):
+        acc = 0
+        for x, e in zip(coords, expansions):
+            if x:
+                acc = acc + x * e.qcoeff(n)
+        if acc != f.qcoeff(n):
+            return n
+    return None
+
+
 def solve_in_basis(f: QSeries, basis: SpaceBasis, expansions=None):
     """Coordinates of f in the given basis, or ValueError.
 
@@ -231,14 +247,10 @@ def solve_in_basis(f: QSeries, basis: SpaceBasis, expansions=None):
     status, sol = mat.solve_linear([f.qcoeff(n) for n in range(rows)])
     if status != UNIQUE or sol is None:
         raise ValueError("no unique representation in this basis (%s)" % status)
-    for n in range(rows, avail):
-        acc = 0
-        for x, e in zip(sol, expansions):
-            if x:
-                acc = acc + x * e.qcoeff(n)
-        if acc != f.qcoeff(n):
-            raise ValueError(
-                "not in the space: coefficient of q^%d deviates from the "
-                "unique Sturm-bound candidate" % n
-            )
+    n = first_deviation(f, sol, expansions, rows, avail)
+    if n is not None:
+        raise ValueError(
+            "not in the space: coefficient of q^%d deviates from the "
+            "unique Sturm-bound candidate" % n
+        )
     return tuple(sol)

@@ -12,8 +12,6 @@ from qformlab.arith import (
     format_rational,
     minimal_polynomial,
     parse_rational,
-    rank,
-    solve_linear,
 )
 
 
@@ -102,8 +100,8 @@ def test_solve_linear_underdetermined():
 
 
 def test_rank():
-    assert rank(ExactMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(ExactMatrix.from_rows([[1, 2], [2, 5]])) == 2
+    assert ExactMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
+    assert ExactMatrix.from_rows([[1, 2], [2, 5]]).rank() == 2
     assert ExactMatrix.from_rows([[0, 0], [0, 0]]).rank() == 0
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -15,6 +16,7 @@ from qformlab.etasearch import (
     _census_all,
     _census_exponents,
     _R_FROM_X,
+    _SpanSolver,
     _solver_for,
     _W_FROM_X,
     census_counts,
@@ -122,6 +124,31 @@ def test_eisenstein_expressible_rejects_fractional_order():
     assert f.valuation24() % GRADE
     assert eisenstein_expressible(f) is None
     assert eisenstein_expressible(f, -4) is None
+
+
+@pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
+def test_span_solver_recovers_seeded_combinations(disc):
+    rng = random.Random(disc)
+    solver = _solver_for(disc)
+    x = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in solver.columns)
+    y = [sum(map(mul, row, x)) for row in solver.samples]
+    assert solver.solve(y) == x
+    # moving one sampled coefficient leaves the span, unless that unit
+    # vector itself lies in it (q^0, q^4, q^8, q^12 for chi(-3))
+    reference = ExactMatrix.from_rows(solver.samples)
+    outside = 0
+    for i in range(len(y)):
+        moved = list(y)
+        moved[i] += 1
+        status, sol = reference.solve_linear(moved)
+        if status == UNIQUE:
+            assert solver.solve(moved) == tuple(sol) != x
+        else:
+            outside += 1
+            assert solver.solve(moved) is None
+    assert outside >= 9
+    with pytest.raises(ValueError):
+        _SpanSolver(solver.columns + solver.columns[:1], len(solver.samples))
 
 
 @pytest.mark.slow

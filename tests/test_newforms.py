@@ -11,6 +11,7 @@ from qformlab.newforms import (
     K3,
     NEWFORMS,
     _charpoly,
+    _hecke_report,
     _peel_rational_roots,
     _squarefree_factor,
     _synthetic_divide,
@@ -167,3 +168,25 @@ def test_build_newform_ignores_a_longer_cusp_cache():
     after = build_newform("f1", 120)
     assert after.trunc == before.trunc == 120 * 24
     assert after == before
+
+
+def test_hecke_report_names_a_broken_coefficient():
+    precision = 60
+    f = build_newform("f3", precision)
+    a = [f.qcoeff(n) for n in range(precision)]
+    assert _hecke_report("f3", a, chi(-24), precision).ok
+    a[6] += 1
+    rep = _hecke_report("f3", a, chi(-24), precision)
+    assert not rep.ok
+    assert (2, 3) in rep.multiplicative_failures
+    # every named pair reads a(6): as the product or as a factor
+    for m, n in rep.multiplicative_failures:
+        assert m * n == 6 or 6 in (m, n)
+    assert rep.a1_ok
+    assert rep.hecke_p2_ok == ((5, True), (7, True))
+
+
+def test_rederive_below_q49_checks_only_the_p5_relation():
+    red = rederive_newform("f1", precision=30)
+    assert red.ok
+    assert red.report.hecke_p2_ok == ((5, True),)
