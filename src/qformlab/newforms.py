@@ -116,10 +116,8 @@ def get_spec(name: str) -> NewformSpec:
 def _cusp_expansions(disc: int, precision: int):
     """The space basis and its cusp expansions cut to q^(precision-1)."""
     basis = build_basis(disc)
-    trunc = GRADE * precision
     return basis, tuple(
-        QSeries(e.val, e.coeffs[: trunc - e.val], trunc)
-        for e in cusp_expansions(basis, precision)
+        e.truncated(GRADE * precision) for e in cusp_expansions(basis, precision)
     )
 
 

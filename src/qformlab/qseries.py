@@ -1,10 +1,14 @@
-"""Truncated formal power series in q^(1/24) over exact scalars.
+"""Truncated formal power series q^(v/24) * (power series in q) over
+exact scalars.
 
-Exponents are always tracked in grade-24 units: the stored exponent e
-stands for q^(e/24), so integer powers of q live at multiples of 24.
-Truncation is data carried by every series: coefficients at exponents
-at or beyond `trunc` are unknown (not zero), and every operation
-computes the exact truncation it can honestly guarantee.
+Every series here has one shape: an eta quotient is q^(v/24) times a
+power series in q (Koehler, Eta Products and Theta Series Identities,
+2011), and Eisenstein series, theta series and newforms have v = 0.
+So a series stores its valuation v in grade-24 units and then one
+coefficient per q-step: coefficient i stands at q^((v + 24 i)/24).
+Truncation is data carried by every series: coefficients at grade-24
+exponents at or beyond `trunc` are unknown (not zero), and every
+operation computes the exact truncation it can honestly guarantee.
 
 The same engine runs over int, Fraction and NumberFieldElement
 coefficients; nothing here ever touches floating point.
@@ -18,11 +22,18 @@ from .etaq import EtaQuotient
 GRADE = 24
 
 
-class QSeries:
-    """A series sum_{e >= val} c_e q^(e/24), known for e < trunc.
+def _steps(val: int, trunc: int) -> int:
+    """Number of q-steps val, val + 24, ... that lie below trunc."""
+    return max(0, (trunc - val + GRADE - 1) // GRADE)
 
-    The all-zero representation uses val == trunc with no stored
-    coefficients; otherwise the coefficient at val is nonzero.
+
+class QSeries:
+    """A series sum_i c_i q^((val + 24 i)/24), known below q^(trunc/24).
+
+    `coeffs[i]` is the coefficient at grade-24 exponent val + 24 i, so
+    all exponents of one series agree mod 24.  The all-zero
+    representation uses val == trunc with no stored coefficients;
+    otherwise the coefficient at val is nonzero.
     """
 
     __slots__ = ("val", "coeffs", "trunc")
@@ -34,13 +45,13 @@ class QSeries:
         while i < len(coeffs) and not coeffs[i]:
             i += 1
         if i:
-            val += i
+            val += GRADE * i
             coeffs = coeffs[i:]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         if not coeffs:
             val = trunc
-        if len(coeffs) > trunc - val:
+        if len(coeffs) > _steps(val, trunc):
             raise ValueError("coefficients extend past the truncation")
         if trunc < val:
             raise ValueError("truncation below valuation")
@@ -59,19 +70,19 @@ class QSeries:
         return cls(0, (c,), trunc)
 
     @classmethod
-    def monomial(cls, c, e: int, trunc: int) -> "QSeries":
-        return cls(e, (c,), trunc)
-
-    @classmethod
     def from_terms(cls, terms, trunc: int) -> "QSeries":
-        """terms: iterable of (grade-24 exponent, coefficient)."""
+        """terms: iterable of (grade-24 exponent, coefficient), all
+        exponents in one residue class mod 24."""
         terms = sorted((e, c) for e, c in terms if c)
         if not terms:
             return cls.zero(trunc)
         val = terms[0][0]
-        coeffs = [0] * (terms[-1][0] - val + 1)
+        coeffs = [0] * ((terms[-1][0] - val) // GRADE + 1)
         for e, c in terms:
-            coeffs[e - val] = coeffs[e - val] + c
+            i, r = divmod(e - val, GRADE)
+            if r:
+                raise ValueError("exponents %d and %d differ mod %d" % (val, e, GRADE))
+            coeffs[i] = coeffs[i] + c
         return cls(val, coeffs, trunc)
 
     # -- coefficient access -------------------------------------------
@@ -80,9 +91,10 @@ class QSeries:
         """Coefficient at grade-24 exponent e; errors past the truncation."""
         if e >= self.trunc:
             raise IndexError("exponent %d at or beyond truncation %d" % (e, self.trunc))
-        if e < self.val or e >= self.val + len(self.coeffs):
+        i, r = divmod(e - self.val, GRADE)
+        if r or not 0 <= i < len(self.coeffs):
             return 0
-        return self.coeffs[e - self.val]
+        return self.coeffs[i]
 
     def qcoeff(self, n: int):
         """Coefficient of q^n (integer exponent)."""
@@ -96,16 +108,20 @@ class QSeries:
         """Nonzero (grade-24 exponent, coefficient) pairs in order."""
         for i, c in enumerate(self.coeffs):
             if c:
-                yield self.val + i, c
+                yield self.val + GRADE * i, c
 
     def is_integer_q(self) -> bool:
-        """True when valuation and all nonzero exponents sit at multiples of 24."""
-        if not self.coeffs:
-            return self.val % GRADE == 0
-        return self.val % GRADE == 0 and all(e % GRADE == 0 for e, _ in self.terms())
+        """True when every exponent sits at a multiple of 24."""
+        return self.val % GRADE == 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def truncated(self, trunc: int) -> "QSeries":
+        """The same series known only below grade-24 exponent trunc."""
+        if trunc > self.trunc:
+            raise ValueError("truncation %d beyond the known %d" % (trunc, self.trunc))
+        return QSeries(self.val, self.coeffs[: _steps(self.val, trunc)], trunc)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -113,22 +129,20 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        lo = min(self.val, other.val, trunc)
-        out = [0] * (trunc - lo)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.val + i
-                if e < trunc and c:
-                    out[e - lo] = out[e - lo] + c
+        parts = [s for s in (self, other) if s.coeffs]
+        if len(parts) == 2 and (self.val - other.val) % GRADE:
+            raise ValueError(
+                "cannot add series at exponents %d and %d mod %d"
+                % (self.val, other.val, GRADE)
+            )
+        lo = min([s.val for s in parts] + [trunc])
+        out = [0] * _steps(lo, trunc)
+        for s in parts:
+            for e, c in s.terms():
+                if e < trunc:
+                    i = (e - lo) // GRADE
+                    out[i] = out[i] + c
         return QSeries(lo, out, trunc)
-
-    def __neg__(self):
-        return QSeries(self.val, tuple(-c for c in self.coeffs), self.trunc)
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, c) -> "QSeries":
         """Multiply by one scalar."""
@@ -136,34 +150,20 @@ class QSeries:
             return QSeries.zero(self.trunc)
         return QSeries(self.val, tuple(c * a for a in self.coeffs), self.trunc)
 
-    def shift(self, e: int) -> "QSeries":
-        """Multiply by q^(e/24)."""
-        return QSeries(self.val + e, self.coeffs, self.trunc + e)
-
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         trunc = min(self.trunc + other.val, other.trunc + self.val)
         if self.is_zero() or other.is_zero():
-            vz = self.val + other.val
-            return QSeries.zero(trunc) if trunc <= vz else QSeries(vz, (), trunc)
+            return QSeries.zero(trunc)
         val = self.val + other.val
-        n = trunc - val
-        if n <= 0:
-            return QSeries(trunc, (), trunc)
+        n = _steps(val, trunc)
         out = [0] * n
-        # iterate nonzeros of the sparser factor
-        f, g = (self, other) if _nnz(self) <= _nnz(other) else (other, self)
-        glen = len(g.coeffs)
-        for i, a in enumerate(f.coeffs):
-            if not a:
-                continue
-            base = i  # exponent offset relative to val
-            top = min(glen, n - base)
-            for j in range(top):
-                b = g.coeffs[j]
-                if b:
-                    out[base + j] = out[base + j] + a * b
+        for i, a in enumerate(self.coeffs[:n]):
+            if a:
+                for j, b in enumerate(other.coeffs[: n - i]):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
         return QSeries(val, out, trunc)
 
     def inverse(self) -> "QSeries":
@@ -171,7 +171,7 @@ class QSeries:
         if self.is_zero():
             raise ZeroDivisionError("cannot invert a series with no known nonzero term")
         c0 = self.coeffs[0]
-        n = self.trunc - self.val  # relative precision of the unit part
+        n = _steps(self.val, self.trunc)  # relative precision of the unit part
         if isinstance(c0, int):
             if c0 in (1, -1):
                 inv0 = c0
@@ -219,13 +219,9 @@ class QSeries:
         bound = min(self.trunc, other.trunc)
         if through is not None:
             bound = min(bound, through)
-        lo = min(self.val, other.val, bound)
-        for e in range(lo, bound):
-            a = self.coeff(e) if e >= self.val else 0
-            b = other.coeff(e) if e >= other.val else 0
-            if a != b:
-                return False
-        return True
+        return [t for t in self.terms() if t[0] < bound] == [
+            t for t in other.terms() if t[0] < bound
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -241,14 +237,9 @@ class QSeries:
         return hash((self.val, self.trunc, self.coeffs))
 
     def __repr__(self):
-        head = ", ".join(
-            "q^(%d/24)*%r" % (e, c) for e, c in list(self.terms())[:4]
-        )
-        return "QSeries(%s%s; trunc=%d)" % (head, "..." if _nnz(self) > 4 else "", self.trunc)
-
-
-def _nnz(f: QSeries) -> int:
-    return sum(1 for c in f.coeffs if c)
+        terms = list(self.terms())
+        head = ", ".join("q^(%d/24)*%r" % t for t in terms[:4])
+        return "QSeries(%s%s; trunc=%d)" % (head, "..." if len(terms) > 4 else "", self.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +329,9 @@ def eta_expansion(delta: int, precision: int) -> QSeries:
         raise ValueError("delta must be a positive integer")
     if precision <= delta:
         raise ValueError("precision must exceed the valuation delta")
-    L = (precision - delta + GRADE * delta - 1) // (GRADE * delta)
-    pent = euler_coeffs(L)
-    coeffs = [0] * (precision - delta)
-    for j, c in enumerate(pent):
-        e = GRADE * delta * j
-        if c and e < len(coeffs):
-            coeffs[e] = c
+    n = _steps(delta, precision)
+    coeffs = [0] * n
+    coeffs[::delta] = euler_coeffs((n + delta - 1) // delta)
     return QSeries(delta, coeffs, precision)
 
 
@@ -354,10 +341,4 @@ def eta_quotient_expansion(f: EtaQuotient, precision: int) -> QSeries:
     val = sum(d * r for d, r in f.items())
     if precision <= val:
         raise ValueError("precision %d does not exceed the valuation %d" % (precision, val))
-    L = (precision - val + GRADE - 1) // GRADE
-    unit = eta_unit_coeffs(f.items(), L)
-    coeffs = [0] * (precision - val)
-    for j, c in enumerate(unit):
-        if c and GRADE * j < len(coeffs):
-            coeffs[GRADE * j] = c
-    return QSeries(val, coeffs, precision)
+    return QSeries(val, eta_unit_coeffs(f.items(), _steps(val, precision)), precision)

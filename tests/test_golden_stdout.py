@@ -1,9 +1,12 @@
 """Byte-identical CLI output: SHA-256 digests of stdout, plain and --json.
 
 The digests were recorded from the CLI before the exact solvers and the
-Hecke checks were folded into one core; any change to a printed number,
-label or layout shows up here as a digest mismatch.  Each case runs
-in-process, so the whole file takes about two seconds.
+Hecke checks were folded into one core; the eta expansions of fractional
+order (1/8, 1/6, 121/24) and the scale-2 Eisenstein series were recorded
+before `QSeries` changed from a dense grade-24 grid to one coefficient
+per q-step.  Any change to a printed number, label or layout shows up
+here as a digest mismatch.  Each case runs in-process, so the whole file
+takes about three seconds.
 """
 
 import hashlib
@@ -36,8 +39,16 @@ GOLDEN = (
     (('eta-expand', 'eta1[1]', '--precision', '30', '--json'), 0, '7168b67997b961c42125dc4b2e97ee87b12f672e4a6972f22f3f0ce220e85053'),
     (('eta-expand', 'eta24[0,3,0,-4,-5,2,16,-6]', '--precision', '60'), 0, '48a837dc34bc0175db11f03259b5e86a4287830e67c48e221f5224e0f8334245'),
     (('eta-expand', 'eta24[0,3,0,-4,-5,2,16,-6]', '--precision', '60', '--json'), 0, '508d71841448ba3126636758ffc29c6a6c2e941c3b4ded4456232884fbf7b629'),
+    (('eta-expand', 'eta2[1,1]', '--precision', '12'), 0, '4db66e0c3ab8058d0e288b1284ad701211727d845ddaf75b6f6bf326f6426bd0'),
+    (('eta-expand', 'eta2[1,1]', '--precision', '12', '--json'), 0, '51a4accb8b3068c7cd1f08623db7e9b29565edb2e95522fb2ddbafef1fd9d550'),
+    (('eta-expand', 'eta3[1,1]', '--precision', '12'), 0, 'e8beafd54f9f6d4723561cba966547a0b2a4dc9c41328af1394522e3e37f3744'),
+    (('eta-expand', 'eta3[1,1]', '--precision', '12', '--json'), 0, '8ea8d8e486d6a287b1c2e34777c40cd73d1bcb29230efcdca36bf1dbf1fa1c76'),
+    (('eta-expand', 'eta24[1,0,0,0,0,0,0,5]', '--precision', '8'), 0, 'dcb699d398fc62c509bd0927d65fecfaba079e56841dd7dd1c17e4dd2e3a9e36'),
+    (('eta-expand', 'eta24[1,0,0,0,0,0,0,5]', '--precision', '8', '--json'), 0, 'b1d4f51bdb46b9d1a4b8f1f2461e2b0523054fc0975bcff41d03d9a7e85c2985'),
     (('eisenstein', 'E3[-4,1,1]'), 0, 'a9d4f0f447d14cf0b37e648c6fd065183962be6f5832bae63b9e99ba5e2f1ccc'),
     (('eisenstein', 'E3[-4,1,1]', '--json'), 0, 'ba9f31437d70b1e715a833d77cc580b27b2ffdf154183d3493b3a04ca93f7788'),
+    (('eisenstein', 'E3[1,-4,2]', '--precision', '12'), 0, '139cbea242695e4d0cbe2a8bedd0c20cd6cd98c4e70c4a300c61c5237471fee5'),
+    (('eisenstein', 'E3[1,-4,2]', '--precision', '12', '--json'), 0, 'd691ef7e0633074bd8b55524c059936734004cc3c5d632b0adaeff414d7af4be'),
     (('rep-count', '--form', '1,1,1,1,2,6', '--n', '300', '--formula'), 0, '93af50c86affe7c5006cc5f727faa138fec41676afea4193ce6e33b8373520bd'),
     (('rep-count', '--form', '1,1,1,1,2,6', '--n', '300', '--formula', '--json'), 0, '30ad27db2f8816e73f6be02b610453c6726252c31df07e48ed4669161cf6eb2a'),
     (('rep-count', '--form', '1,1,2,2,3,6', '--n', '500', '--formula'), 0, '628dbff5af38570bb3fc3ecd67efe7d3cae9fdf7f373b107fe260179be17d5d0'),

@@ -13,7 +13,9 @@ from qformlab.qseries import (
     eta_unit_coeffs,
     euler_coeffs,
 )
+from qformlab.eisenstein import eisenstein3
 from qformlab.etaq import EtaQuotient
+from qformlab.spaces import build_basis
 
 
 def test_grade_convention():
@@ -69,12 +71,12 @@ def naive_product(coeffs_a, coeffs_b, L):
 @settings(max_examples=60)
 def test_multiplication_matches_convolution(aa, bb):
     L = max(len(aa), len(bb)) + 4
-    f = QSeries(0, aa + [0] * (L - len(aa)), L)
-    g = QSeries(0, bb + [0] * (L - len(bb)), L)
+    f = QSeries(0, aa + [0] * (L - len(aa)), GRADE * L)
+    g = QSeries(0, bb + [0] * (L - len(bb)), GRADE * L)
     h = f * g
-    ref = naive_product(aa, bb, min(h.trunc, L))
-    for e in range(min(h.trunc, L)):
-        assert (h.coeff(e) if e >= h.val else 0) == ref[e]
+    ref = naive_product(aa, bb, min(h.qprecision(), L))
+    for n in range(min(h.qprecision(), L)):
+        assert (h.qcoeff(n) if GRADE * n >= h.val else 0) == ref[n]
 
 
 @given(
@@ -85,28 +87,28 @@ def test_multiplication_matches_convolution(aa, bb):
 @settings(max_examples=40)
 def test_ring_laws(aa, bb, cc):
     L = 14
-    f = QSeries(0, (aa + [0] * L)[:L], L)
-    g = QSeries(0, (bb + [0] * L)[:L], L)
-    h = QSeries(0, (cc + [0] * L)[:L], L)
+    f = QSeries(0, (aa + [0] * L)[:L], GRADE * L)
+    g = QSeries(0, (bb + [0] * L)[:L], GRADE * L)
+    h = QSeries(0, (cc + [0] * L)[:L], GRADE * L)
     assert (f + g).agrees_with(g + f)
     assert (f * g).agrees_with(g * f)
-    assert ((f + g) * h).agrees_with(f * h + g * h, through=L)
+    assert ((f + g) * h).agrees_with(f * h + g * h, through=GRADE * L)
 
 
 def test_inverse_of_unit():
-    f = QSeries(0, [1, -1] + [0] * 30, 32)
+    f = QSeries(0, [1, -1] + [0] * 30, GRADE * 32)
     g = f.inverse()
     # geometric series
-    for e in range(g.trunc):
-        assert g.coeff(e) == 1
+    for n in range(g.qprecision()):
+        assert g.qcoeff(n) == 1
     assert (f * g).qcoeff(0) == 1
 
 
 def test_pow_negative():
-    f = QSeries(0, [1, 2, 1] + [0] * 20, 20)
+    f = QSeries(0, [1, 2, 1] + [0] * 20, GRADE * 20)
     assert (f**2).agrees_with(f * f)
-    assert (f**-1 * f).agrees_with(QSeries.constant(1, 10), through=10)
-    assert (f**0).coeff(0) == 1
+    assert (f**-1 * f).agrees_with(QSeries.constant(1, GRADE * 10), through=GRADE * 10)
+    assert (f**0).qcoeff(0) == 1
 
 
 def test_pow_requires_int():
@@ -144,6 +146,63 @@ def test_eta_quotient_expansion_matches_factor_product(exponents, L):
     ref = _factor_product(f, L)
     assert direct.trunc == ref.trunc
     assert direct.agrees_with(ref)
+
+
+def _q_steps(g: QSeries) -> int:
+    """q-steps val, val + 24, ... below the truncation."""
+    return (g.trunc - g.val + GRADE - 1) // GRADE
+
+
+@given(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=8, max_size=8).filter(
+        lambda r: sum(map(abs, r)) <= 12
+    ),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=50, deadline=None)
+def test_eta_quotient_expansion_stores_one_coefficient_per_q_step(exponents, L):
+    f = EtaQuotient(24, tuple(exponents))
+    g = eta_quotient_expansion(f, f.valuation24() + GRADE * L)
+    unit = eta_unit_coeffs(f.items(), L)
+    assert len(g.coeffs) <= _q_steps(g) == L
+    assert [g.coeff(f.valuation24() + GRADE * i) for i in range(L)] == unit
+
+
+def test_eisenstein_series_store_one_coefficient_per_q_step():
+    for disc in (-3, -4, -8, -24):
+        for spec in build_basis(disc).eisenstein:
+            e = eisenstein3(spec.chi, spec.psi, spec.t, 30)
+            assert e.is_integer_q()
+            assert len(e.coeffs) <= _q_steps(e) <= 30
+            assert dict(e.terms()) == {
+                GRADE * n: e.qcoeff(n) for n in range(30) if e.qcoeff(n)
+            }
+
+
+def test_mixed_residues_are_rejected():
+    with pytest.raises(ValueError):
+        QSeries.from_terms([(0, 1), (GRADE + 1, 2)], 3 * GRADE)
+    with pytest.raises(ValueError):
+        eta_expansion(1, 3 * GRADE) + QSeries.constant(1, 3 * GRADE)
+    # a zero series has no residue class, so it adds to anything
+    eta = eta_expansion(1, 3 * GRADE)
+    assert QSeries.zero(3 * GRADE) + eta == eta
+
+
+def test_add_keeps_the_smaller_truncation():
+    one = QSeries.constant(1, GRADE)
+    two_terms = QSeries.from_terms([(0, 2), (2 * GRADE, 5)], 10 * GRADE)
+    assert one + two_terms == QSeries.constant(3, GRADE)
+    assert one + QSeries.from_terms([(2 * GRADE, 5)], 10 * GRADE) == one
+
+
+def test_truncated_matches_a_shorter_expansion():
+    f = EtaQuotient(24, (2, 1, 0, 0, 0, 0, 0, -1))  # order -20/24 at infinity
+    full = eta_quotient_expansion(f, 40 * GRADE)
+    for trunc in (f.valuation24() + 1, 5 * GRADE, 17 * GRADE + 7, 40 * GRADE):
+        assert full.truncated(trunc) == eta_quotient_expansion(f, trunc)
+    with pytest.raises(ValueError):
+        full.truncated(40 * GRADE + 1)
 
 
 def test_eta_quotient_expansion_known_cusp_form():
