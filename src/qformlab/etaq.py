@@ -1,10 +1,12 @@
 """Eta quotients on Gamma_0(N): cusp orders, holomorphy, character.
 
 An eta quotient is prod_{delta | N} eta(delta z)^{r_delta}.  Everything
-here is exact: a cusp order is summed over the exponents in integers and
-returned as one Fraction, the holomorphy check is a set of integer
-congruences and sign conditions, and the nebentypus character is read off
-the squarefree part of prod delta^{r_delta}.
+here is exact and integer: the order at a cusp 1/c is an integer dot
+product of the exponents with weights gcd(delta, c)^2 (N / delta), kept
+once per level, over the denominator 24 gcd(c^2, N); the holomorphy
+check is a set of integer congruences and sign conditions on those dot
+products; and the nebentypus character is read off the parity of the
+exponent of each prime p | N in prod delta^{r_delta}.
 """
 
 import re
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .characters import chi
 
@@ -43,20 +46,44 @@ def divisors(n: int) -> tuple:
     return tuple(small + large[::-1])
 
 
-def _squarefree_part(n: int) -> int:
-    """Largest squarefree divisor s with n/s a perfect square (n > 0)."""
-    s = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                s *= d
-        d += 1
-    return s * n
+@lru_cache(maxsize=64)
+def _order_weights(level: int) -> dict:
+    """c -> (weights, den) for every cusp denominator c | level.
+
+    The order at 1/c is N / (24 gcd(c^2, N)) * sum gcd(delta, c)^2
+    r_delta / delta; since delta | N it is the integer dot product of the
+    exponents with weights gcd(delta, c)^2 (N / delta), over the
+    denominator den = 24 gcd(c^2, N).
+    """
+    divs = divisors(level)
+    return {
+        c: (tuple(gcd(d, c) ** 2 * (level // d) for d in divs), 24 * gcd(c * c, level))
+        for c in divs
+    }
+
+
+def _valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in n > 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@lru_cache(maxsize=64)
+def _prime_valuations(level: int) -> tuple:
+    """(p, (v_p(delta) for delta | level)) for every prime p | level.
+
+    A divisor p > 1 is prime exactly when no smaller prime divisor of
+    the level divides it.
+    """
+    divs = divisors(level)
+    out = []
+    for p in divs[1:]:
+        if all(p % q for q, _ in out):
+            out.append((p, tuple(_valuation(d, p) for d in divs)))
+    return tuple(out)
 
 
 class EtaQuotient:
@@ -152,42 +179,37 @@ class Cusp:
 def cusp_order(f: EtaQuotient, c) -> Fraction:
     """Order of f at any cusp with denominator c, in local-variable units.
 
-    The order is N / (24 gcd(c^2, N)) * sum gcd(delta, c)^2 r_delta / delta;
-    since delta | N the sum is taken over gcd(delta, c)^2 r_delta (N / delta)
-    in integers and divided once at the end.
+    The order is N / (24 gcd(c^2, N)) * sum gcd(delta, c)^2 r_delta / delta,
+    summed in integers with the per-level weights of `_order_weights` and
+    divided once at the end.
     """
     if isinstance(c, Cusp):
         c = c.denominator
     n = f.level
     if n % c:
         raise ValueError("cusp denominator %d must divide the level %d" % (c, n))
-    total = 0
-    for d, r in f.items():
-        if r:
-            total += gcd(d, c) ** 2 * r * (n // d)
-    return Fraction(total, 24 * gcd(c * c, n))
+    weights, den = _order_weights(n)[c]
+    return Fraction(sum(map(mul, weights, f.exponents)), den)
 
 
 def character_of(f: EtaQuotient):
     """Nebentypus of f as a Kronecker character chi(D).
 
-    Reads the squarefree part s of prod delta^{r_delta}; for odd weight
-    s = 3 gives chi(-3) and s in {1, 2, 6} gives chi(-4 s), while even
-    weight maps s in {1, 2, 3, 6} to chi(1), chi(8), chi(12), chi(24).
+    Reads the squarefree part s of prod delta^{r_delta}: s is the product
+    of the primes p | N whose exponent sum r_delta v_p(delta) is odd, so
+    no power of delta is ever formed.  For odd weight s = 3 gives chi(-3)
+    and s in {1, 2, 6} gives chi(-4 s), while even weight maps s in
+    {1, 2, 3, 6} to chi(1), chi(8), chi(12), chi(24).
     """
-    k = f.weight
-    if k.denominator != 1:
+    twice_k = sum(f.exponents)
+    if twice_k % 2:
         raise ValueError("character is defined here only for integral weight")
-    num = 1
-    den = 1
-    for d, r in f.items():
-        if r > 0:
-            num *= d**r
-        elif r < 0:
-            den *= d ** (-r)
-    s = _squarefree_part(num) * _squarefree_part(den)
-    s = _squarefree_part(s)
-    if k.numerator % 2:
+    k = twice_k // 2
+    s = 1
+    for p, vals in _prime_valuations(f.level):
+        if sum(map(mul, vals, f.exponents)) % 2:
+            s *= p
+    if k % 2:
         if s == 3:
             return chi(-3)
         if s in (1, 2, 6):
@@ -223,12 +245,17 @@ def ligozat_check(f: EtaQuotient) -> ModularityReport:
     cuspidality additionally needs every cusp order strictly positive.
     """
     n = f.level
-    at_inf = sum(d * r for d, r in f.items())
-    at_zero = sum((n // d) * r for d, r in f.items())
+    r = f.exponents
+    divs = divisors(n)
+    at_inf = sum(map(mul, divs, r))
+    at_zero = sum((n // d) * x for d, x in zip(divs, r))
     l1 = at_inf % 24 == 0
     l2 = at_zero % 24 == 0
-    orders = tuple((c, cusp_order(f, c)) for c in divisors(n))
-    l3 = all(v >= 0 for _, v in orders)
+    totals = [
+        (c, sum(map(mul, weights, r)), den)
+        for c, (weights, den) in _order_weights(n).items()
+    ]
+    l3 = all(t >= 0 for _, t, _ in totals)
     k = f.weight
     l4 = k.denominator == 1 and k > 0
     holo = l1 and l2 and l3 and l4
@@ -245,8 +272,8 @@ def ligozat_check(f: EtaQuotient) -> ModularityReport:
         cond_24_divides_at_zero=l2,
         cond_nonnegative_cusp_orders=l3,
         cond_positive_integral_weight=l4,
-        cusp_orders=orders,
+        cusp_orders=tuple((c, Fraction(t, den)) for c, t, den in totals),
         character=char,
         is_holomorphic=holo,
-        is_cuspidal=holo and all(v > 0 for _, v in orders),
+        is_cuspidal=holo and all(t > 0 for _, t, _ in totals),
     )

@@ -25,7 +25,7 @@ from operator import mul
 from .arith import ExactMatrix
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
-from .qseries import GRADE, QSeries, eta_quotient_expansion
+from .qseries import GRADE, QSeries, eta_quotient_expansion, eta_unit_coeffs
 from .spaces import SPACE_DISCRIMINANTS, basis_expansions, build_basis, first_deviation, sturm_bound
 
 __all__ = [
@@ -130,24 +130,21 @@ def _census_exponents():
     Walks x coordinate by coordinate: w_j = sum_k H[j][k] x_k must stay
     in [0, budget] where the budget is 288 minus the orders already
     spent, rows 0 and 1 additionally need 24 | w_j, and the last row is
-    forced to spend the budget exactly.
+    forced to spend the budget exactly.  The partial sums w = H x and
+    r = U x over the coordinates chosen so far travel down the
+    recursion, so each step adds one column of H and of U.
     """
     H, U = _W_FROM_X, _R_FROM_X
     n = len(DIVISORS24)
+    h_cols = list(zip(*H))
+    u_cols = list(zip(*U))
+    last = n - 1
     out = []
 
-    def walk(j, xs, used):
-        base = sum(H[j][k] * xs[k] for k in range(j))
+    def walk(j, w, r, used):
+        base = w[j]
         diag = H[j][j]
         budget = 288 - used
-        if j == n - 1:
-            need = budget - base
-            if need % diag == 0:
-                x = xs + (need // diag,)
-                out.append(tuple(
-                    sum(U[t][k] * x[k] for k in range(n)) for t in range(n)
-                ))
-            return
         lo = -(base // diag)
         hi = (budget - base) // diag
         stride = 1
@@ -159,10 +156,24 @@ def _census_exponents():
             if stride > 1:
                 first = (-(base // g) * pow(diag // g, -1, stride)) % stride
                 lo += (first - lo) % stride
+        h, u = h_cols[j], u_cols[j]
+        if j == last - 1:
+            # x_last is forced: w_last must equal what is left of the budget
+            w_last, h_last, u_last, d_last = w[last], h[last], u_cols[last], H[last][last]
+            for xj in range(lo, hi + 1, stride):
+                x, rem = divmod(budget - base - diag * xj - w_last - h_last * xj, d_last)
+                if not rem:
+                    out.append(tuple(a + xj * b + x * c for a, b, c in zip(r, u, u_last)))
+            return
         for xj in range(lo, hi + 1, stride):
-            walk(j + 1, xs + (xj,), used + base + diag * xj)
+            walk(
+                j + 1,
+                [a + xj * b for a, b in zip(w, h)],
+                [a + xj * b for a, b in zip(r, u)],
+                used + base + diag * xj,
+            )
 
-    walk(0, (), 0)
+    walk(0, [0] * n, [0] * n, 0)
     return out
 
 
@@ -209,11 +220,12 @@ class _SpanSolver:
     sampled matrix, ExactMatrix gives two integer matrices once per
     space: a basis of the left kernel {z : z A = 0}, each row scaled to
     integers, and the left inverse (A^T A)^-1 A^T kept as an integer
-    matrix over one denominator.  A candidate y lies in the span exactly
-    when every kernel row is orthogonal to it; only then are its
-    coordinates (left inverse . y) / den built as Fractions.  On integer
-    y every test is integer arithmetic.  The columns are kept whole, for
-    the verification of a hit past the sampled rows.
+    matrix over one denominator `den`.  A candidate y lies in the span
+    exactly when every kernel row is orthogonal to it; its coordinates
+    are then the numerators (left inverse . y) over den.  On integer y
+    every test is integer arithmetic, and so is the verification of a
+    hit past the sampled rows against the columns, which are kept whole
+    for it: den * a(n) == sum num_i col_i(n).
     """
 
     def __init__(self, columns, rows):
@@ -237,12 +249,20 @@ class _SpanSolver:
             [int(col[j] * self.den) for col in inverse_cols] for j in range(len(columns))
         ]
 
-    def solve(self, y):
-        """Coordinates x with A x = y on all sampled rows, or None."""
+    def numerators(self, y):
+        """Numerators over `den` of the x with A x = y on all sampled
+        rows, or None when y is outside the span."""
         for z in self.kernel:
             if sum(map(mul, z, y)):
                 return None
-        return tuple(Fraction(sum(map(mul, row, y)), self.den) for row in self.left_inverse)
+        return [sum(map(mul, row, y)) for row in self.left_inverse]
+
+    def solve(self, y):
+        """Coordinates x with A x = y on all sampled rows, or None."""
+        nums = self.numerators(y)
+        if nums is None:
+            return None
+        return tuple(Fraction(v, self.den) for v in nums)
 
 
 _SOLVERS: dict = {}
@@ -261,23 +281,28 @@ def _solver_for(disc: int) -> _SpanSolver:
 def eisenstein_expressible(f: EtaQuotient, char=None):
     """Coordinates of f over the Eisenstein part of its space, or None.
 
-    A quotient of fractional order at infinity is not in the space.
-    Otherwise the candidate is solved on q^0..q^12 and then re-verified
-    through q^60; a mismatch anywhere returns None.
+    A quotient of fractional or negative order at infinity is not in
+    the space, and neither is one that vanishes through the Sturm bound.
+    Otherwise the candidate is tested on q^0..q^12, read straight from
+    the integer eta kernel, and a hit is re-verified through q^60 by
+    resuming that expansion; a mismatch anywhere returns None.
     """
-    if f.valuation24() % GRADE:
+    val = f.valuation24()
+    if val % GRADE:
         return None
     disc = _as_disc(character_of(f) if char is None else char)
     rows = sturm_bound() + 1
-    g = eta_quotient_expansion(f, GRADE * rows)
+    lead = val // GRADE
+    if not 0 <= lead < rows:
+        return None
     solver = _solver_for(disc)
-    coords = solver.solve([g.qcoeff(n) for n in range(rows)])
-    if coords is None:
+    nums = solver.numerators([0] * lead + eta_unit_coeffs(f.items(), rows - lead))
+    if nums is None:
         return None
     full = eta_quotient_expansion(f, GRADE * 61)
-    if first_deviation(full, coords, solver.columns, rows, 61) is not None:
+    if first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
         return None
-    return coords
+    return tuple(Fraction(v, solver.den) for v in nums)
 
 
 @dataclass(frozen=True)

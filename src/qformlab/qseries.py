@@ -266,24 +266,41 @@ def euler_coeffs(L: int):
     return out
 
 
-# exponent tuple -> unit coefficients known so far, least recently used
-# first; perfbench/tracing.py reads it under this older name
-_EULER_POW_CACHE: dict[tuple, list] = {}
+# exponent tuple -> (unit coefficients a, log-derivative terms g), both
+# known for the same q-steps so far, least recently used first;
+# perfbench/tracing.py reads it under this older name
+_EULER_POW_CACHE: dict[tuple, tuple] = {}
 _EULER_POW_CACHE_SIZE = 64
 
 
-def _log_derivative(key, L: int):
-    """g_0..g_(L-1) of q f'/f for f = prod_delta prod_n (1 - q^(delta n))^r:
-    g_N = -sum_{delta | N} r_delta delta sigma(N / delta)."""
-    sigma = [0] * L
-    for d in range(1, L):
-        for m in range(d, L, d):
-            sigma[m] += d
-    g = [0] * L
+# sigma(m) for 0 <= m < len(_SIGMA); regrown to at least twice its length
+# when a longer one is needed, so it is sieved O(log L) times in all
+_SIGMA = [0]
+
+
+def _sigma_table(L: int) -> list:
+    """The shared table sigma(0..M-1) for some M >= L (sigma(0) = 0)."""
+    global _SIGMA
+    if len(_SIGMA) < L:
+        size = max(L, 2 * len(_SIGMA))
+        sigma = [0] * size
+        for d in range(1, size):
+            for m in range(d, size, d):
+                sigma[m] += d
+        _SIGMA = sigma
+    return _SIGMA
+
+
+def _log_derivative(key, start: int, stop: int):
+    """g_start..g_(stop-1) of q f'/f for f = prod_delta prod_n
+    (1 - q^(delta n))^r: g_N = -sum_{delta | N} r_delta delta
+    sigma(N / delta), with sigma read from the one shared table."""
+    sigma = _sigma_table(stop)
+    g = [0] * (stop - start)
     for delta, r in key:
         w = r * delta
-        for m in range(1, (L - 1) // delta + 1):
-            g[delta * m] -= w * sigma[m]
+        for m in range(-(-start // delta), (stop - 1) // delta + 1):
+            g[delta * m - start] -= w * sigma[m]
     return g
 
 
@@ -295,14 +312,16 @@ def eta_unit_coeffs(exponents_by_divisor, L: int):
     mod q^L.  The coefficients a_n follow from the log derivative g of the
     product (Koehler, Eta Products and Theta Series Identities, 2011):
     n a_n = sum_{k=1..n} g_k a_(n-k), each division checked to be exact.
-    The coefficients known so far are cached per exponent tuple, so a
-    longer request resumes where the last one stopped.
+    The coefficients and log-derivative terms known so far are cached per
+    exponent tuple, so a longer request resumes where the last one
+    stopped and computes only the new terms of g.
     """
     key = tuple((d, r) for d, r in exponents_by_divisor if r)
-    a = _EULER_POW_CACHE.pop(key, None) or [1]
+    a, g = _EULER_POW_CACHE.pop(key, None) or ([1], [0])
     if len(a) < L:
+        g += _log_derivative(key, len(g), L)
         # grev[L-1-k] = g_k, so grev[L-1-n:L-1] is g_n, ..., g_1
-        grev = _log_derivative(key, L)[::-1]
+        grev = g[::-1]
         top = L - 1
         for n in range(len(a), L):
             q, rem = divmod(sum(map(mul, a, grev[top - n:top])), n)
@@ -314,7 +333,7 @@ def eta_unit_coeffs(exponents_by_divisor, L: int):
             a.append(q)
     if len(_EULER_POW_CACHE) >= _EULER_POW_CACHE_SIZE:
         del _EULER_POW_CACHE[next(iter(_EULER_POW_CACHE))]
-    _EULER_POW_CACHE[key] = a
+    _EULER_POW_CACHE[key] = (a, g)
     return a[:L]
 
 

@@ -210,17 +210,19 @@ def verify_basis(disc: int) -> BasisReport:
     )
 
 
-def first_deviation(f: QSeries, coords, expansions, start: int, stop: int):
-    """First n in [start, stop) where f and sum(coords * expansions) differ.
+def first_deviation(f: QSeries, coords, expansions, start: int, stop: int, den=1):
+    """First n in [start, stop) where den * f and sum(coords * expansions)
+    differ, or None when they agree on every coefficient checked.
 
-    None when the two agree on every coefficient checked.
+    With integer numerators `coords` over a common denominator `den` and
+    integer series, every comparison is integer arithmetic.
     """
     for n in range(start, stop):
         acc = 0
         for x, e in zip(coords, expansions):
             if x:
                 acc = acc + x * e.qcoeff(n)
-        if acc != f.qcoeff(n):
+        if acc != den * f.qcoeff(n):
             return n
     return None
 

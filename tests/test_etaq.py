@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+
+from qformlab.characters import chi
 
 from qformlab.etaq import (
     Cusp,
@@ -126,6 +129,103 @@ def test_character_of_examples():
     assert character_of(EtaQuotient(24, {1: 3, 3: 3})).discriminant == -3
     # even weight: squarefree part 2 lands on chi(8)
     assert character_of(EtaQuotient(24, {1: 1, 2: 3})).discriminant == 8
+
+
+def _squarefree_part(n: int) -> int:
+    """Largest squarefree divisor s with n/s a perfect square (n > 0)."""
+    s = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                s *= d
+        d += 1
+    return s * n
+
+
+def _reference_character(f):
+    """character_of by trial division of prod delta^{r_delta}: the
+    reference for the valuation-parity path."""
+    k = f.weight
+    if k.denominator != 1:
+        raise ValueError("character is defined here only for integral weight")
+    num = 1
+    den = 1
+    for d, r in f.items():
+        if r > 0:
+            num *= d**r
+        elif r < 0:
+            den *= d ** (-r)
+    s = _squarefree_part(_squarefree_part(num) * _squarefree_part(den))
+    if k.numerator % 2:
+        if s == 3:
+            return chi(-3)
+        if s in (1, 2, 6):
+            return chi(-4 * s)
+    else:
+        table = {1: 1, 2: 8, 3: 12, 6: 24}
+        if s in table:
+            return chi(table[s])
+    raise ValueError("no quadratic character for squarefree part %d at weight %s" % (s, k))
+
+
+@st.composite
+def small_quotients(draw):
+    """Exponent vectors at levels whose primes are 2 and 3, plus levels
+    with a prime 5, where the squarefree part can leave {1, 2, 3, 6}."""
+    level = draw(st.sampled_from((4, 6, 8, 12, 24, 10, 30)))
+    size = len(divisors(level))
+    exps = draw(st.lists(st.integers(min_value=-12, max_value=12), min_size=size, max_size=size))
+    return EtaQuotient(level, exps)
+
+
+def _outcome(fn, f):
+    try:
+        return fn(f)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@given(small_quotients())
+def test_character_of_matches_trial_division(f):
+    assert _outcome(character_of, f) == _outcome(_reference_character, f)
+
+
+def test_character_of_reference_covers_every_outcome():
+    # the property above meets odd and even weight, every squarefree
+    # part of levels 24 and 30, and both ValueError messages
+    seen = set()
+    for exps, level in (
+        ((6, 0, 0, 0, 0, 0, 0, 0), 24), ((5, 1, 0, 0, 0, 0, 0, 0), 24),
+        ((5, 0, 1, 0, 0, 0, 0, 0), 24), ((5, 0, 0, 0, 1, 0, 0, 0), 24),
+        ((4, 0, 0, 0, 0, 0, 0, 0), 24), ((3, 1, 0, 0, 0, 0, 0, 0), 24),
+        ((3, 0, 1, 0, 0, 0, 0, 0), 24), ((3, 0, 0, 0, 1, 0, 0, 0), 24),
+        ((5, 0, 1, 0), 10), ((1, 2, 0, 0, 0, 0, 0, 0), 30),
+    ):
+        f = EtaQuotient(level, exps)
+        got = _outcome(character_of, f)
+        assert got == _outcome(_reference_character, f)
+        seen.add(got if isinstance(got, str) else got.discriminant)
+    assert seen == {
+        -4, -8, -3, -24, 1, 8, 12, 24,
+        "ValueError: no quadratic character for squarefree part 5 at weight 3",
+        "ValueError: character is defined here only for integral weight",
+    }
+
+
+def test_character_of_is_fast_for_huge_exponents():
+    # prod delta^r has millions of digits here; the parity of
+    # sum r_delta v_p(delta) needs none of them
+    for r in (10**5, 10**9):
+        f = EtaQuotient(24, (0, 0, 0, 0, 0, 0, 6, r))
+        start = time.perf_counter()
+        assert character_of(f) == chi(-4)
+        assert ligozat_check(f).character == chi(-4)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_character_needs_integral_weight():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from operator import mul
@@ -25,10 +26,16 @@ from qformlab.etasearch import (
     remark_rhs,
     verify_remark_identities,
 )
-from qformlab.qseries import GRADE, eta_quotient_expansion
-from qformlab.spaces import SPACE_DISCRIMINANTS, sturm_bound
+from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
+from qformlab.spaces import SPACE_DISCRIMINANTS, first_deviation, sturm_bound
 
 EXPECTED = {-3: (6332, 140), -4: (6288, 40), -8: (2424, 4), -24: (2424, 0)}
+
+# SHA-256 of the sorted member labels and of the sorted "label coords"
+# lines of the Eisenstein-expressible members, one per line, recorded at
+# the first benchmarked commit (perfbench/expected.json holds the same)
+MEMBERS_SHA256 = "9c466f0d1e03410eb820ab0b738f1f8d513fa21d8b8c30a7498d68be2a3db422"
+EXPRESSIBLE_SHA256 = "480348312d04c15f0d821d3eafbff160d5cd12dda16fe79bb9efe4090f8e1b79"
 
 
 def test_order_matrix_structure():
@@ -75,6 +82,18 @@ def test_census_exponent_invariants():
 def test_census_counts(census, monkeypatch):
     monkeypatch.setattr(etasearch, "enumerate_space", census.__getitem__)
     assert census_counts() == EXPECTED
+
+
+@pytest.mark.slow
+def test_census_digests(census):
+    members = sorted(f.label() for r in census.values() for f in r.members)
+    hits = sorted(
+        "%s %s" % (f.label(), " ".join(str(x) for x in coords))
+        for r in census.values()
+        for f, coords in r.eisenstein_expressible
+    )
+    assert hashlib.sha256("\n".join(members).encode()).hexdigest() == MEMBERS_SHA256
+    assert hashlib.sha256("\n".join(hits).encode()).hexdigest() == EXPRESSIBLE_SHA256
 
 
 @pytest.mark.slow
@@ -126,6 +145,21 @@ def test_eisenstein_expressible_rejects_fractional_order():
     assert eisenstein_expressible(f, -4) is None
 
 
+def test_eisenstein_expressible_rejects_orders_outside_the_sturm_range():
+    # weight 3, integral orders -17, 21 and 66 at infinity: a pole, or a
+    # form vanishing through q^12, is in no space, even one vanishing
+    # past the q^60 that a hit is verified through
+    for exps, lead in (
+        ((24, 0, 0, 0, 0, 0, 0, -18), -17),
+        ((-24, 0, 0, 0, 0, 0, 16, 14), 21),
+        ((-72, 0, 0, 0, 0, 0, 18, 60), 66),
+    ):
+        f = EtaQuotient(24, exps)
+        assert f.valuation24() == GRADE * lead
+        assert ligozat_check(f).character == chi(-4)
+        assert eisenstein_expressible(f) is None
+
+
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_recovers_seeded_combinations(disc):
     rng = random.Random(disc)
@@ -173,10 +207,34 @@ def test_span_solver_matches_reference_solver():
             status, sol = reference.solve_linear(y)
             assert status == UNIQUE
             assert x == tuple(sol)
+            nums = solver.numerators(y)
+            assert all(type(v) is int for v in nums)
+            assert tuple(Fraction(v, solver.den) for v in nums) == x
         for y in rng.sample(misses, 150):
             status, _ = reference.solve_linear(y)
             assert status != UNIQUE
     assert hits == sum(EXPECTED[d][1] for d in SPACE_DISCRIMINANTS)
+
+
+@pytest.mark.parametrize("k", (13, 37, 60))
+def test_integer_verification_names_the_first_wrong_coefficient(k):
+    # eta8[-2,-5,23,-10] = (-2/3, 0, 8/3, 0) over the chi(-8) Eisenstein
+    # columns; moving its q^k coefficient by one keeps q^0..q^12, so the
+    # span test still passes and only the verification past them sees it
+    f = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
+    solver = _solver_for(-8)
+    rows = sturm_bound() + 1
+    g = eta_quotient_expansion(f, GRADE * 61)
+    nums = solver.numerators([g.qcoeff(n) for n in range(rows)])
+    assert solver.den > 1
+    assert first_deviation(g, nums, solver.columns, rows, 61, solver.den) is None
+    coeffs = [g.qcoeff(n) for n in range(61)]
+    coeffs[k] += 1
+    moved = QSeries.from_terms([(GRADE * n, c) for n, c in enumerate(coeffs)], g.trunc)
+    assert [moved.qcoeff(n) for n in range(rows)] == [g.qcoeff(n) for n in range(rows)]
+    assert first_deviation(moved, nums, solver.columns, rows, 61, solver.den) == k
+    coords = tuple(Fraction(v, solver.den) for v in nums)
+    assert first_deviation(moved, coords, solver.columns, rows, 61) == k
 
 
 def test_brute_fiber_matches_census_fiber():

@@ -18,7 +18,7 @@ from qformlab.quadforms import (
     rep_count_formula,
     rep_counts_bruteforce,
 )
-from qformlab import spaces
+from qformlab import qseries, spaces
 from qformlab.spaces import SPACE_DISCRIMINANTS
 
 
@@ -165,3 +165,21 @@ def test_formula_reads_a_growing_cusp_cache(disc):
         for n in ns:
             assert rep_count_formula(row, n) == theta.qcoeff(n)
         assert spaces._CUSP[disc][0].qprecision() == 401
+
+
+def test_ascending_queries_equal_cold_single_queries(monkeypatch):
+    # ascending n resumes the cached kernel coefficients and reads the
+    # shared sigma table as it grows; a cold query rebuilds both
+    row = derive_formula((1, 2, 2, 1))
+
+    def cold_start():
+        spaces._CUSP.clear()
+        qseries._EULER_POW_CACHE.clear()
+        monkeypatch.setattr(qseries, "_SIGMA", [0])
+
+    want = []
+    for n in range(1, 201):
+        cold_start()
+        want.append(rep_count_formula(row, n))
+    cold_start()
+    assert [rep_count_formula(row, n) for n in range(1, 201)] == want
