@@ -299,14 +299,15 @@ class ExactMatrix:
     def _elim(self, aug=None):
         """Forward elimination; returns (echelon rows, pivot column list).
 
-        aug, when given, is a right-hand-side column carried along.
+        aug, when given, holds one row of extra columns per matrix row,
+        carried along but never pivoted on.
         """
         work = [self.row(i) for i in range(self.rows)]
         if aug is not None:
             if len(aug) != self.rows:
                 raise ValueError("rhs length %d != %d rows" % (len(aug), self.rows))
-            for r, y in zip(work, aug):
-                r.append(_check_scalar(y))
+            for r, extra in zip(work, aug):
+                r.extend(_check_scalar(y) for y in extra)
         ncols = self.cols
         pivots = []
         rpos = 0
@@ -321,12 +322,13 @@ class ExactMatrix:
             work[rpos], work[piv] = work[piv], work[rpos]
             prow = work[rpos]
             inv = prow[col]
+            nonzero = [j for j in range(col, len(prow)) if prow[j]]
             for i in range(rpos + 1, len(work)):
                 c = work[i][col]
                 if c:
                     factor = c / inv
                     ri = work[i]
-                    for j in range(col, len(prow)):
+                    for j in nonzero:
                         ri[j] = ri[j] - factor * prow[j]
             pivots.append(col)
             rpos += 1
@@ -346,7 +348,7 @@ class ExactMatrix:
         Returns (status, x) with status one of UNIQUE, INCONSISTENT,
         UNDERDETERMINED; x is None unless status is UNIQUE.
         """
-        work, pivots = self._elim(aug=list(y))
+        work, pivots = self._elim(aug=[[v] for v in y])
         n = self.cols
         # inconsistent: a zero row of A with nonzero rhs
         for i in range(len(pivots), self.rows):
@@ -364,6 +366,33 @@ class ExactMatrix:
                     acc = acc - row[j] * x[j]
             x[k] = acc / row[k]
         return UNIQUE, x
+
+    def left_factor(self):
+        """Gauss-Jordan on [A | I]: (left inverse, left kernel) of A.
+
+        The left inverse L has L A = I and the rows z of the left kernel
+        have z A = 0; both are lists of rows over Q.  Any y with A x = y
+        solvable then has z . y = 0 for every kernel row and x = L y.
+        Dependent columns raise ValueError.
+        """
+        m, n = self.rows, self.cols
+        work, pivots = self._elim(aug=[[int(i == j) for j in range(m)] for i in range(m)])
+        if len(pivots) < n:
+            raise ValueError("dependent columns: rank %d < %d" % (len(pivots), n))
+        # rank == n: row k pivots on column k; clear above each pivot
+        for k in range(n - 1, -1, -1):
+            prow = work[k]
+            inv = 1 / prow[k]
+            nonzero = [j for j in range(k, n + m) if prow[j]]
+            for j in nonzero:
+                prow[j] = prow[j] * inv
+            for i in range(k):
+                c = work[i][k]
+                if c:
+                    ri = work[i]
+                    for j in nonzero:
+                        ri[j] = ri[j] - c * prow[j]
+        return [r[n:] for r in work[:n]], [r[n:] for r in work[n:]]
 
     def kernel_basis(self):
         """Basis of the right kernel {x : A x = 0}, one vector per free column."""

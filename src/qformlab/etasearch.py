@@ -19,14 +19,13 @@ particular quotients to twisted divisor sums.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
-from .arith import ExactMatrix
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, eta_quotient_expansion, eta_unit_coeffs
-from .spaces import SPACE_DISCRIMINANTS, basis_expansions, build_basis, first_deviation, sturm_bound
+# _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
+from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, _SpanSolver, first_deviation, span_solver, sturm_bound
 
 __all__ = [
     "CensusResult",
@@ -213,69 +212,9 @@ def _as_disc(char) -> int:
 # Eisenstein span membership
 # ---------------------------------------------------------------------------
 
-class _SpanSolver:
-    """Exact membership test for the span of fixed series columns.
-
-    Sampling rows q^0..q^12 suffices at the Sturm bound.  With A the
-    sampled matrix, ExactMatrix gives two integer matrices once per
-    space: a basis of the left kernel {z : z A = 0}, each row scaled to
-    integers, and the left inverse (A^T A)^-1 A^T kept as an integer
-    matrix over one denominator `den`.  A candidate y lies in the span
-    exactly when every kernel row is orthogonal to it; its coordinates
-    are then the numerators (left inverse . y) over den.  On integer y
-    every test is integer arithmetic, and so is the verification of a
-    hit past the sampled rows against the columns, which are kept whole
-    for it: den * a(n) == sum num_i col_i(n).
-    """
-
-    def __init__(self, columns, rows):
-        self.columns = columns
-        self.samples = [[c.qcoeff(n) for c in columns] for n in range(rows)]
-        transposed = [list(col) for col in zip(*self.samples)]
-        kernel = ExactMatrix.from_rows(transposed).kernel_basis()
-        if len(kernel) != rows - len(columns):
-            raise ValueError("dependent Eisenstein columns")
-        self.kernel = []
-        for z in kernel:
-            m = lcm(*(Fraction(v).denominator for v in z))
-            self.kernel.append([int(v * m) for v in z])
-        gram = ExactMatrix.from_rows(
-            [[sum(map(mul, a, b)) for b in transposed] for a in transposed]
-        )
-        # column i of the left inverse is gram^-1 applied to sampled row i
-        inverse_cols = [gram.solve_linear(row)[1] for row in self.samples]
-        self.den = lcm(*(Fraction(v).denominator for col in inverse_cols for v in col))
-        self.left_inverse = [
-            [int(col[j] * self.den) for col in inverse_cols] for j in range(len(columns))
-        ]
-
-    def numerators(self, y):
-        """Numerators over `den` of the x with A x = y on all sampled
-        rows, or None when y is outside the span."""
-        for z in self.kernel:
-            if sum(map(mul, z, y)):
-                return None
-        return [sum(map(mul, row, y)) for row in self.left_inverse]
-
-    def solve(self, y):
-        """Coordinates x with A x = y on all sampled rows, or None."""
-        nums = self.numerators(y)
-        if nums is None:
-            return None
-        return tuple(Fraction(v, self.den) for v in nums)
-
-
-_SOLVERS: dict = {}
-
-
 def _solver_for(disc: int) -> _SpanSolver:
-    got = _SOLVERS.get(disc)
-    if got is None:
-        basis = build_basis(disc)
-        eis = basis_expansions(basis, 61)[: len(basis.eisenstein)]
-        got = _SpanSolver(eis, sturm_bound() + 1)
-        _SOLVERS[disc] = got
-    return got
+    """The shared solver over the Eisenstein columns of one space."""
+    return span_solver(disc, "eisenstein")
 
 
 def eisenstein_expressible(f: EtaQuotient, char=None):

@@ -16,6 +16,7 @@ from math import gcd
 
 from .arith import (
     ExactMatrix,
+    INCONSISTENT,
     NumberField,
     UNIQUE,
     _poly_divmod,
@@ -25,7 +26,7 @@ from .arith import (
 from .characters import chi
 from .etaq import divisors
 from .qseries import GRADE, QSeries
-from .spaces import build_basis, cusp_expansions, sturm_bound
+from .spaces import build_basis, cusp_expansions, span_solver, sturm_bound
 
 __all__ = [
     "K1",
@@ -227,26 +228,27 @@ def _hecke_report(name: str, a, char, precision: int) -> EigenformReport:
 # ---------------------------------------------------------------------------
 
 def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
-    """Matrix of T_p on the cusp space, columns in cusp-basis coordinates."""
+    """Matrix of T_p on the cusp space, columns in cusp-basis coordinates.
+
+    Every image is solved on q^1..q^12 by the cusp solver of the space,
+    which is factored once and serves every p.
+    """
     need = p * sturm_bound() + 1
     basis, cusp = _cusp_expansions(disc, need)
     char = basis.character
     nc = len(cusp)
-    rows = sturm_bound()  # solve on q^1..q^12; cusp forms vanish at q^0
-    mat = ExactMatrix.from_rows(
-        [[e.qcoeff(n) for e in cusp] for n in range(1, rows + 1)]
-    )
+    solver = span_solver(disc, "cusp")
     columns = []
     for series in cusp:
         image = []
-        for n in range(1, rows + 1):
+        for n in solver.rows:
             b = series.qcoeff(p * n)
             if n % p == 0:
                 b = b + char(p) * p * p * series.qcoeff(n // p)
             image.append(b)
-        status, sol = mat.solve_linear(image)
-        if status != UNIQUE:
-            raise ValueError("Hecke image left the cusp span (%s)" % status)
+        sol = solver.solve(image)
+        if sol is None:
+            raise ValueError("Hecke image left the cusp span (%s)" % INCONSISTENT)
         columns.append(sol)
     return ExactMatrix.from_rows(
         [[columns[j][i] for j in range(nc)] for i in range(nc)]

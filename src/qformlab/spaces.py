@@ -10,8 +10,11 @@ coefficients are then verified, not assumed.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .arith import ExactMatrix, UNIQUE
+from .arith import ExactMatrix, INCONSISTENT
 from .characters import DirichletChar, chi
 from .eisenstein import EisensteinSpec, eisenstein3
 from .etaq import EtaQuotient, ModularityReport, ligozat_check
@@ -227,7 +230,77 @@ def first_deviation(f: QSeries, coords, expansions, start: int, stop: int, den=1
     return None
 
 
-def solve_in_basis(f: QSeries, basis: SpaceBasis, expansions=None):
+class _SpanSolver:
+    """Exact membership test for the span of fixed series columns.
+
+    With A the matrix of the columns on the sampled q-exponents `rows`,
+    one Gauss-Jordan pass (ExactMatrix.left_factor) gives a basis of the
+    left kernel {z : z A = 0}, each row scaled to integers, and a left
+    inverse L (L A = I) kept as an integer matrix over one denominator
+    `den`.  A candidate y lies in the span exactly when every kernel row
+    is orthogonal to it; its coordinates are then the numerators L y
+    over den.  On integer y every test is integer arithmetic, and so is
+    the verification of a hit past the sampled rows against the columns,
+    which are kept whole for it: den * a(n) == sum num_i col_i(n).
+    """
+
+    def __init__(self, columns, rows):
+        self.columns = columns
+        self.rows = rows
+        self.samples = [[c.qcoeff(n) for c in columns] for n in rows]
+        inverse, kernel = ExactMatrix.from_rows(self.samples).left_factor()
+        self.kernel = []
+        for z in kernel:
+            m = lcm(*(v.denominator for v in z))
+            self.kernel.append([int(v * m) for v in z])
+        self.den = lcm(*(v.denominator for row in inverse for v in row))
+        self.left_inverse = [[int(v * self.den) for v in row] for row in inverse]
+
+    def numerators(self, y):
+        """Numerators over `den` of the x with A x = y on all sampled
+        rows, or None when y is outside the span."""
+        for z in self.kernel:
+            if sum(map(mul, z, y)):
+                return None
+        return [sum(map(mul, row, y)) for row in self.left_inverse]
+
+    def solve(self, y):
+        """Coordinates x with A x = y on all sampled rows, or None."""
+        nums = self.numerators(y)
+        if nums is None:
+            return None
+        return tuple(Fraction(v, self.den) for v in nums)
+
+
+_SOLVERS: dict = {}  # (discriminant, part) -> _SpanSolver
+
+
+def span_solver(disc: int, part: str) -> _SpanSolver:
+    """The solver of one column set of a space, built on first use.
+
+    part "basis" is every basis element and "eisenstein" the Eisenstein
+    elements, both sampled on q^0..q^12; "cusp" is the cusp elements on
+    q^1..q^12, where they all vanish at q^0.
+    """
+    got = _SOLVERS.get((disc, part))
+    if got is None:
+        basis = build_basis(disc)
+        rows = sturm_bound() + 1
+        if part == "cusp":
+            cusp = cusp_expansions(basis, rows)
+            got = _SpanSolver(tuple(e.truncated(GRADE * rows) for e in cusp), range(1, rows))
+        else:
+            # through q^60: census hits are verified that far, and
+            # derive_formula solves at this precision by default
+            columns = basis_expansions(basis, 61)
+            if part == "eisenstein":
+                columns = columns[: len(basis.eisenstein)]
+            got = _SpanSolver(columns, range(rows))
+        _SOLVERS[disc, part] = got
+    return got
+
+
+def solve_in_basis(f: QSeries, basis: SpaceBasis):
     """Coordinates of f in the given basis, or ValueError.
 
     Solves on the thirteen coefficients q^0..q^12 and then insists that
@@ -240,19 +313,14 @@ def solve_in_basis(f: QSeries, basis: SpaceBasis, expansions=None):
     prec = f.qprecision()
     if prec < rows:
         raise ValueError("need at least %d known coefficients, got %d" % (rows, prec))
-    if expansions is None:
-        expansions = basis_expansions(basis, prec)
-    avail = min(prec, min(e.qprecision() for e in expansions))
-    mat = ExactMatrix.from_rows(
-        [[e.qcoeff(n) for e in expansions] for n in range(rows)]
-    )
-    status, sol = mat.solve_linear([f.qcoeff(n) for n in range(rows)])
-    if status != UNIQUE or sol is None:
-        raise ValueError("no unique representation in this basis (%s)" % status)
-    n = first_deviation(f, sol, expansions, rows, avail)
+    solver = span_solver(basis.character.discriminant, "basis")
+    nums = solver.numerators([f.qcoeff(n) for n in range(rows)])
+    if nums is None:
+        raise ValueError("no unique representation in this basis (%s)" % INCONSISTENT)
+    n = first_deviation(f, nums, basis_expansions(basis, prec), rows, prec, solver.den)
     if n is not None:
         raise ValueError(
             "not in the space: coefficient of q^%d deviates from the "
             "unique Sturm-bound candidate" % n
         )
-    return tuple(sol)
+    return tuple(Fraction(v, solver.den) for v in nums)

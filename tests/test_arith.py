@@ -72,6 +72,36 @@ def test_nonzero_elements_invert(p, q):
     assert x * (1 / x) == 1
 
 
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=n, max_value=6).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+)
+def test_left_factor_inverts_and_annihilates(rows):
+    a = ExactMatrix.from_rows(rows)
+    m, n = a.rows, a.cols
+    if a.rank() < n:
+        with pytest.raises(ValueError):
+            a.left_factor()
+        return
+    inverse, kernel = a.left_factor()
+    assert len(inverse) == n and len(kernel) == m - n
+    for i, row in enumerate(inverse):
+        assert [sum(row[k] * a[k, j] for k in range(m)) for j in range(n)] == [
+            int(i == j) for j in range(n)
+        ]
+    for z in kernel:
+        assert [sum(z[k] * a[k, j] for k in range(m)) for j in range(n)] == [0] * n
+    if kernel:
+        assert ExactMatrix.from_rows(kernel).rank() == m - n
+
+
 def test_minimal_polynomial_of_sqrt2():
     a = K2.generator()
     assert minimal_polynomial(a) == (-2, 0, 1)

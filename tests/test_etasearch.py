@@ -182,7 +182,7 @@ def test_span_solver_recovers_seeded_combinations(disc):
             assert solver.solve(moved) is None
     assert outside >= 9
     with pytest.raises(ValueError):
-        _SpanSolver(solver.columns + solver.columns[:1], len(solver.samples))
+        _SpanSolver(solver.columns + solver.columns[:1], solver.rows)
 
 
 @pytest.mark.slow

@@ -27,6 +27,8 @@ GOLDEN = (
     (('verify-tables', '--json'), 0, '01fcb4ad0cbc493b16d49a48c9318fd722c81d7e82da0057bc018d1038a178f3'),
     (('verify-newforms', '--precision', '60'), 0, '053006584b82adb9d4a21dbf78d50a31d614ef612c3229edad8f4f34cbeff9c6'),
     (('verify-newforms', '--precision', '60', '--json'), 0, '0e464866221b855305b419adeb00319ce0e1fa971b81cd10797ebb66ae749382'),
+    (('verify-newforms',), 0, '4839626d92ca15c038c804e731da50e5b052bf81e40e8ae85422dc4e6d0f19c5'),
+    (('verify-newforms', '--json'), 0, 'bf6ad39cb45c344c5bf7517d3b9b13c109660acc0fa9f2fbae496ebfed10fbdf'),
     (('verify-remarks', '--precision', '60'), 0, '98f28c1b43dcc0d91f94e9b4c8d673b9f4cf7e749234d4cb272831264e935a4d'),
     (('verify-remarks', '--precision', '60', '--json'), 0, '496d3321eeef4a9cf8bed58ff767d81e623f3a4a0ee67c65e4c1ce52616b6eff'),
     (('ligozat-check', 'eta24[0,3,0,-4,-5,2,16,-6]'), 0, '8ec870fbd548a708163371d3b3bc85eef18ea0be51941a0ce04afe42909fad99'),

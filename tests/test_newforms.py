@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from qformlab import spaces
-from qformlab.arith import ExactMatrix, minimal_polynomial
+from qformlab.arith import ExactMatrix, format_rational, minimal_polynomial
 from qformlab.characters import chi
 from qformlab.newforms import (
     K1,
@@ -11,6 +12,7 @@ from qformlab.newforms import (
     K3,
     NEWFORMS,
     _charpoly,
+    _hecke_matrix,
     _hecke_report,
     _peel_rational_roots,
     _squarefree_factor,
@@ -127,6 +129,26 @@ def test_squarefree_factor():
     # (x^2 - 2)^2
     assert _squarefree_factor((4, 0, -4, 0, 1)) == (-2, 0, 1)
     assert _squarefree_factor((-2, 0, 1)) == (-2, 0, 1)
+
+
+# SHA-256 of the T_5, T_7, T_11 and T_13 matrices of each cusp space, one
+# line "T_p entries..." per prime, recorded before the Hecke images were
+# solved through the shared per-space solver
+HECKE_SHA256 = {
+    -3: "41c05f0e3245f06d22b80c62a15f325433e7050f90ed9cd9a3a063921ffcb192",
+    -4: "2f70f32d16588292017add1ef0e4dbbe6e1c8c2d8502af920ff59f69ed903edc",
+    -8: "226ed9da13e55a5302c054d5da8c27fcd8862ef41505407d16a99454ddc1ee2f",
+    -24: "4baf847a7ec821fc6c535d3a97f6aab7ffe0f801e06b55521c455ed830f9eaf9",
+}
+
+
+@pytest.mark.parametrize("disc", sorted(HECKE_SHA256))
+def test_hecke_matrices_match_recorded_digests(disc):
+    text = "\n".join(
+        "T_%d %s" % (p, " ".join(format_rational(x) for x in _hecke_matrix(disc, p).entries))
+        for p in (5, 7, 11, 13)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == HECKE_SHA256[disc]
 
 
 @pytest.mark.parametrize("name", ("f1", "f2", "f5"))
