@@ -21,9 +21,11 @@ from .etasearch import enumerate_space, verify_remark_identities
 from .newforms import (
     K1,
     NEWFORMS,
+    _operator_label,
     build_newform,
     check_eigenform,
     f1_reference,
+    get_spec,
     rederive_newform,
     solve_back_f1,
 )
@@ -354,10 +356,9 @@ def _cmd_verify_newforms(args) -> int:
         )
         if not rep.ok:
             ok = False
-            spec = next(s for s in NEWFORMS if s.name == name)
-            if spec.field is not None:
+            if get_spec(name).field is not None:
                 red = rederive_newform(name, precision=count)
-                op = "+".join("T_%d" % p for p in red.operator) or "none"
+                op = _operator_label(red.operator) or "none"
                 entry["fallback"] = {
                     "operator": list(red.operator),
                     "field_poly": [format_rational(c) for c in red.field_poly],

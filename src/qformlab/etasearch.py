@@ -25,7 +25,7 @@ from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, eta_quotient_expansion, eta_unit_coeffs
 # _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
-from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, _SpanSolver, first_deviation, span_solver, sturm_bound
+from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, first_deviation, span_solver, sturm_bound
 
 __all__ = [
     "CensusResult",
@@ -212,11 +212,6 @@ def _as_disc(char) -> int:
 # Eisenstein span membership
 # ---------------------------------------------------------------------------
 
-def _solver_for(disc: int) -> _SpanSolver:
-    """The shared solver over the Eisenstein columns of one space."""
-    return span_solver(disc, "eisenstein")
-
-
 def eisenstein_expressible(f: EtaQuotient, char=None):
     """Coordinates of f over the Eisenstein part of its space, or None.
 
@@ -234,7 +229,7 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     lead = val // GRADE
     if not 0 <= lead < rows:
         return None
-    solver = _solver_for(disc)
+    solver = span_solver(disc, "eisenstein")
     nums = solver.numerators([0] * lead + eta_unit_coeffs(f.items(), rows - lead))
     if nums is None:
         return None

@@ -26,7 +26,7 @@ from .arith import (
 from .characters import chi
 from .etaq import divisors
 from .qseries import GRADE, QSeries
-from .spaces import build_basis, cusp_expansions, span_solver, sturm_bound
+from .spaces import basis_expansions, build_basis, span_solver, sturm_bound
 
 __all__ = [
     "K1",
@@ -117,9 +117,8 @@ def get_spec(name: str) -> NewformSpec:
 def _cusp_expansions(disc: int, precision: int):
     """The space basis and its cusp expansions cut to q^(precision-1)."""
     basis = build_basis(disc)
-    return basis, tuple(
-        e.truncated(GRADE * precision) for e in cusp_expansions(basis, precision)
-    )
+    cusp = basis_expansions(basis, precision, "cusp")[len(basis.eisenstein):]
+    return basis, tuple(e.truncated(GRADE * precision) for e in cusp)
 
 
 def _combine(scalars, cusp, precision: int) -> QSeries:

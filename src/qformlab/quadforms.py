@@ -18,7 +18,7 @@ from math import isqrt
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient
 from .qseries import GRADE, QSeries, eta_quotient_expansion
-from .spaces import build_basis, cusp_expansions, solve_in_basis
+from .spaces import basis_expansions, build_basis, solve_in_basis
 
 __all__ = [
     "QuadForm",
@@ -193,7 +193,8 @@ def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
     for coeff, spec in zip(row.eisenstein, basis.eisenstein):
         if coeff and n % spec.t == 0:
             total += coeff * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
-    for coeff, series in zip(row.cusp, cusp_expansions(basis, max(61, n + 1))):
+    ne = len(basis.eisenstein)
+    for coeff, series in zip(row.cusp, basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
         if coeff:
             total += coeff * series.qcoeff(n)
     return total

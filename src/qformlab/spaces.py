@@ -11,6 +11,7 @@ coefficients are then verified, not assumed.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -25,7 +26,6 @@ __all__ = [
     "BasisReport",
     "build_basis",
     "basis_expansions",
-    "cusp_expansions",
     "verify_basis",
     "solve_in_basis",
     "first_deviation",
@@ -96,8 +96,9 @@ class SpaceBasis:
         )
 
 
+@cache
 def build_basis(disc: int) -> SpaceBasis:
-    """Basis of M_3(Gamma_0(24), chi(disc)) for disc in -3, -4, -8, -24."""
+    """The one basis of M_3(Gamma_0(24), chi(disc)), disc in -3, -4, -8, -24."""
     if disc not in SPACE_DISCRIMINANTS:
         raise ValueError("no space for discriminant %d; use one of %s"
                          % (disc, (SPACE_DISCRIMINANTS,)))
@@ -119,37 +120,37 @@ def build_basis(disc: int) -> SpaceBasis:
     return SpaceBasis(character=main, eisenstein=eis, cusp=cusp)
 
 
-_EXPANSIONS: dict = {}
+_EXPANSIONS: dict = {}  # discriminant -> tuple of every basis series
 
 
-def basis_expansions(basis: SpaceBasis, precision: int):
-    """QSeries for every basis element, q^0..q^(precision-1) known."""
-    key = (basis.character.discriminant, precision)
-    got = _EXPANSIONS.get(key)
-    if got is None:
-        eis = [eisenstein3(s.chi, s.psi, s.t, precision) for s in basis.eisenstein]
-        cusp = [eta_quotient_expansion(f, GRADE * precision) for f in basis.cusp]
-        got = tuple(eis + cusp)
-        _EXPANSIONS[key] = got
-    return got
+def basis_expansions(basis: SpaceBasis, precision: int, part: str = "basis"):
+    """QSeries for every element of a space's own basis, Eisenstein first.
 
-
-_CUSP: dict = {}  # discriminant -> cusp expansions at the largest precision asked
-
-
-def cusp_expansions(basis: SpaceBasis, precision: int):
-    """QSeries for the cusp elements, q^0..q^(precision-1) known at least.
-
-    One tuple is kept per space and rebuilt only when a larger precision
-    is asked for; the eta-quotient kernel then resumes its cached
-    coefficients instead of starting over.  Readers truncate at their
-    own precision.
+    One tuple is kept per space; any basis but build_basis(disc) is a
+    ValueError.  A series of `part` ("basis" for all, "cusp" for the cusp
+    elements) that knows less than q^0..q^(precision-1) is rebuilt at
+    `precision`, a cusp series by resuming the eta-quotient kernel cache.
+    The rest are left alone, so a cusp read never rebuilds an Eisenstein
+    series.  A read that rebuilds nothing returns the cached tuple itself;
+    readers slice it and truncate at their own precision.
     """
     disc = basis.character.discriminant
-    got = _CUSP.get(disc)
-    if got is None or got[0].qprecision() < precision:
-        got = tuple(eta_quotient_expansion(f, GRADE * precision) for f in basis.cusp)
-        _CUSP[disc] = got
+    own = build_basis(disc)
+    if basis is not own and basis != own:
+        raise ValueError("expansions are kept only for the basis of the chi(%d) space" % disc)
+    got = _EXPANSIONS.get(disc) or (QSeries.zero(0),) * own.dimension
+    ne = len(own.eisenstein)
+    grow = [i for i in range({"basis": 0, "cusp": ne}[part], len(got))
+            if got[i].qprecision() < precision]
+    if grow:
+        series = list(got)
+        for i in grow:
+            if i < ne:
+                s = own.eisenstein[i]
+                series[i] = eisenstein3(s.chi, s.psi, s.t, precision)
+            else:
+                series[i] = eta_quotient_expansion(own.cusp[i - ne], GRADE * precision)
+        got = _EXPANSIONS[disc] = tuple(series)
     return got
 
 
@@ -287,7 +288,7 @@ def span_solver(disc: int, part: str) -> _SpanSolver:
         basis = build_basis(disc)
         rows = sturm_bound() + 1
         if part == "cusp":
-            cusp = cusp_expansions(basis, rows)
+            cusp = basis_expansions(basis, rows, "cusp")[len(basis.eisenstein):]
             got = _SpanSolver(tuple(e.truncated(GRADE * rows) for e in cusp), range(1, rows))
         else:
             # through q^60: census hits are verified that far, and
@@ -313,11 +314,12 @@ def solve_in_basis(f: QSeries, basis: SpaceBasis):
     prec = f.qprecision()
     if prec < rows:
         raise ValueError("need at least %d known coefficients, got %d" % (rows, prec))
+    expansions = basis_expansions(basis, prec)
     solver = span_solver(basis.character.discriminant, "basis")
     nums = solver.numerators([f.qcoeff(n) for n in range(rows)])
     if nums is None:
         raise ValueError("no unique representation in this basis (%s)" % INCONSISTENT)
-    n = first_deviation(f, nums, basis_expansions(basis, prec), rows, prec, solver.den)
+    n = first_deviation(f, nums, expansions, rows, prec, solver.den)
     if n is not None:
         raise ValueError(
             "not in the space: coefficient of q^%d deviates from the "

@@ -17,8 +17,6 @@ from qformlab.etasearch import (
     _census_all,
     _census_exponents,
     _R_FROM_X,
-    _SpanSolver,
-    _solver_for,
     _W_FROM_X,
     census_counts,
     census_crosscheck,
@@ -27,7 +25,7 @@ from qformlab.etasearch import (
     verify_remark_identities,
 )
 from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
-from qformlab.spaces import SPACE_DISCRIMINANTS, first_deviation, sturm_bound
+from qformlab.spaces import SPACE_DISCRIMINANTS, _SpanSolver, first_deviation, span_solver, sturm_bound
 
 EXPECTED = {-3: (6332, 140), -4: (6288, 40), -8: (2424, 4), -24: (2424, 0)}
 
@@ -163,7 +161,7 @@ def test_eisenstein_expressible_rejects_orders_outside_the_sturm_range():
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_recovers_seeded_combinations(disc):
     rng = random.Random(disc)
-    solver = _solver_for(disc)
+    solver = span_solver(disc, "eisenstein")
     x = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in solver.columns)
     y = [sum(map(mul, row, x)) for row in solver.samples]
     assert solver.solve(y) == x
@@ -193,7 +191,7 @@ def test_span_solver_matches_reference_solver():
     rows = sturm_bound() + 1
     hits = 0
     for disc in SPACE_DISCRIMINANTS:
-        solver = _solver_for(disc)
+        solver = span_solver(disc, "eisenstein")
         reference = ExactMatrix.from_rows(solver.samples)
         misses = []
         for f in _census_all()[disc]:
@@ -222,7 +220,7 @@ def test_integer_verification_names_the_first_wrong_coefficient(k):
     # columns; moving its q^k coefficient by one keeps q^0..q^12, so the
     # span test still passes and only the verification past them sees it
     f = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
-    solver = _solver_for(-8)
+    solver = span_solver(-8, "eisenstein")
     rows = sturm_bound() + 1
     g = eta_quotient_expansion(f, GRADE * 61)
     nums = solver.numerators([g.qcoeff(n) for n in range(rows)])

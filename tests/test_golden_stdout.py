@@ -4,9 +4,11 @@ The digests were recorded from the CLI before the exact solvers and the
 Hecke checks were folded into one core; the eta expansions of fractional
 order (1/8, 1/6, 121/24) and the scale-2 Eisenstein series were recorded
 before `QSeries` changed from a dense grade-24 grid to one coefficient
-per q-step.  Any change to a printed number, label or layout shows up
-here as a digest mismatch.  Each case runs in-process, so the whole file
-takes about three seconds.
+per q-step; the chi(-4) rep-count cases (form 1,1,1,1,1,1) were
+recorded before the basis and cusp expansion caches became one.  Any
+change to a printed number, label or layout shows up here as a digest
+mismatch.  Each case runs in-process, so the whole file takes about
+three seconds.
 """
 
 import hashlib
@@ -57,6 +59,8 @@ GOLDEN = (
     (('rep-count', '--form', '1,1,2,2,3,6', '--n', '500', '--formula', '--json'), 0, '99b59a32a3f9d6f7bd238a610ddd149351d4cb228a5635115a959499fa949ead'),
     (('rep-count', '--form', '1,1,1,3,3,6', '--n', '200', '--formula'), 0, '33cff7cee901fb30b011d006683b660b1811682d491c4306bbf04196225c9bde'),
     (('rep-count', '--form', '1,1,1,3,3,6', '--n', '200', '--formula', '--json'), 0, '3a23b3015a56526244ef6f33fed1e0b1b248db902162ec3861e481e6be9aa0e1'),
+    (('rep-count', '--form', '1,1,1,1,1,1', '--n', '400', '--formula'), 0, '3da32d25a148ead9db5025f61acde5d7e570cfc9ea051b7e404b5654ec55b832'),
+    (('rep-count', '--form', '1,1,1,1,1,1', '--n', '400', '--formula', '--json'), 0, '23c496e854ae3e4a3277f977397b7233fe3a7fd5a8b785d155d168aed10e8554'),
 )
 
 

@@ -181,12 +181,13 @@ def test_rederive_f1_eigenvalue_field():
 
 
 def test_build_newform_ignores_a_longer_cusp_cache():
-    spaces._CUSP.clear()
+    spaces._EXPANSIONS.clear()
     before = build_newform("f1", 120)
     row = derive_formula((0, 3, 0, 3))  # a chi(-3) form
     assert row.character == chi(-3)
     rep_count_formula(row, 399)
-    assert spaces._CUSP[-3][0].qprecision() == 400
+    ne = len(spaces.build_basis(-3).eisenstein)
+    assert all(e.qprecision() == 400 for e in spaces._EXPANSIONS[-3][ne:])
     after = build_newform("f1", 120)
     assert after.trunc == before.trunc == 120 * 24
     assert after == before

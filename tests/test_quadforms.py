@@ -161,10 +161,11 @@ def test_formula_reads_a_growing_cusp_cache(disc):
     row = derive_formula(exps)
     theta = genfun(exps, 401)
     for ns in (range(400, 0, -1), range(1, 401)):
-        spaces._CUSP.clear()
+        spaces._EXPANSIONS.clear()
         for n in ns:
             assert rep_count_formula(row, n) == theta.qcoeff(n)
-        assert spaces._CUSP[disc][0].qprecision() == 401
+        ne = len(spaces.build_basis(disc).eisenstein)
+        assert all(e.qprecision() == 401 for e in spaces._EXPANSIONS[disc][ne:])
 
 
 def test_ascending_queries_equal_cold_single_queries(monkeypatch):
@@ -173,7 +174,7 @@ def test_ascending_queries_equal_cold_single_queries(monkeypatch):
     row = derive_formula((1, 2, 2, 1))
 
     def cold_start():
-        spaces._CUSP.clear()
+        spaces._EXPANSIONS.clear()
         qseries._EULER_POW_CACHE.clear()
         monkeypatch.setattr(qseries, "_SIGMA", [0])
 

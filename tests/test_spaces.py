@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from qformlab import cli, newforms, spaces
 from qformlab.arith import UNIQUE, ExactMatrix
+from qformlab.eisenstein import eisenstein3
 from qformlab.etaq import ligozat_check
-from qformlab.qseries import GRADE, QSeries
+from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
 from qformlab.quadforms import classify, genfun
 from qformlab.spaces import (
     SPACE_DISCRIMINANTS,
@@ -116,6 +118,90 @@ def test_expansions_are_cached():
     a = basis_expansions(basis, 25)
     b = basis_expansions(basis, 25)
     assert a is b
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    disc=st.sampled_from(SPACE_DISCRIMINANTS),
+    reads=st.lists(
+        st.tuples(st.sampled_from(("basis", "cusp")), st.integers(min_value=13, max_value=400)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_any_read_sequence_equals_cold_expansions(disc, reads):
+    # however the one tuple of a space has grown, each read sees the
+    # series of a cold expansion at its own precision
+    spaces._EXPANSIONS.clear()
+    basis = build_basis(disc)
+    for part, p in reads:
+        got = basis_expansions(basis, p, part)
+        assert len(got) == basis.dimension
+        start = 0 if part == "basis" else len(basis.eisenstein)
+        cold = [eisenstein3(e.chi, e.psi, e.t, p) for e in basis.eisenstein[start:]]
+        cold += [eta_quotient_expansion(f, GRADE * p) for f in basis.cusp]
+        assert [e.truncated(GRADE * p) for e in got[start:]] == cold
+    assert list(spaces._EXPANSIONS) == [disc]
+
+
+def test_cusp_reads_leave_the_eisenstein_series_alone(monkeypatch):
+    spaces._EXPANSIONS.clear()
+    basis = build_basis(-24)
+    ne = len(basis.eisenstein)
+    first = basis_expansions(basis, 61)
+    assert basis_expansions(build_basis(-24), 61) is first
+
+    def rebuilt(*args):
+        raise AssertionError("a cusp read rebuilt an Eisenstein series")
+
+    monkeypatch.setattr(spaces, "eisenstein3", rebuilt)
+    assert basis_expansions(basis, 40, "cusp") is first
+    grown = basis_expansions(basis, 300, "cusp")
+    assert grown is not first
+    assert all(a is b for a, b in zip(grown[:ne], first[:ne]))
+    assert [e.qprecision() for e in grown[ne:]] == [300] * len(basis.cusp)
+    # hits return the cached tuple itself, whatever part they read
+    assert basis_expansions(basis, 200, "cusp") is grown
+    assert basis_expansions(basis, 61) is grown
+    assert spaces._EXPANSIONS[-24] is grown
+    # a basis read grows the Eisenstein series and keeps the longer cusp ones
+    monkeypatch.undo()
+    longer = basis_expansions(basis, 100)
+    assert [e.qprecision() for e in longer[:ne]] == [100] * ne
+    assert all(a is b for a, b in zip(longer[ne:], grown[ne:]))
+
+
+def test_expansions_answer_only_for_the_space_basis():
+    # a caller's basis with its cusp elements reordered used to be
+    # answered from the cache of the standard basis once that was warm
+    own = build_basis(-3)
+    rev = dataclasses.replace(own, cusp=own.cusp[::-1])
+    theta = genfun((3, 0, 3, 0))
+    spaces._EXPANSIONS.clear()
+    for _ in range(2):  # cold, then warm
+        with pytest.raises(ValueError, match="chi\\(-3\\) space"):
+            basis_expansions(rev, 20)
+        with pytest.raises(ValueError):
+            solve_in_basis(theta, rev)
+        with pytest.raises(ValueError, match="chi\\(-3\\) space"):
+            basis_expansions(rev, 20, "cusp")
+        basis_expansions(own, 20)
+    # an equal basis object is the space's own basis
+    assert basis_expansions(dataclasses.replace(own), 20) is basis_expansions(own, 20)
+    assert solve_in_basis(theta, own)[len(own.eisenstein):] == (4, 0, 0, -16)
+
+
+def test_expansion_cache_holds_one_entry_per_space():
+    spaces._EXPANSIONS.clear()
+    exps = (1, 1, 2, 2)
+    disc = classify(exps).discriminant
+    basis = build_basis(disc)
+    theta = genfun(exps, 80)
+    coords = solve_in_basis(theta, basis)
+    for p in range(13, 81):
+        assert solve_in_basis(theta.truncated(GRADE * p), basis) == coords
+    assert len(spaces._EXPANSIONS) <= 4
+    assert list(spaces._EXPANSIONS) == [disc]
 
 
 PARTS = ("basis", "eisenstein", "cusp")
