@@ -3,18 +3,20 @@
 Three scalar kinds are supported throughout the library:
 
   * arbitrary-precision integers (Python int),
-  * rationals (fractions.Fraction, re-exported as Rational),
+  * rationals (fractions.Fraction),
   * number-field residues (NumberFieldElement), i.e. polynomials in a
     generator alpha reduced modulo a fixed monic defining polynomial.
 
 No floating point is allowed anywhere; ExactMatrix refuses floats at
-construction.  Gaussian elimination uses the first nonzero pivot, which is
-all that exact arithmetic needs.
+construction.  ExactMatrix has one elimination, a Gauss-Jordan reduction
+on the first nonzero pivot (all that exact arithmetic needs), and rank,
+solve_linear, kernel_basis, left_factor and minimal_polynomial each read
+their answer from the reduced row echelon form it returns.  Every pivot
+is inverted, so over a reducible modulus a zero-divisor pivot raises
+ZeroDivisionError.
 """
 
 from fractions import Fraction
-
-Rational = Fraction
 
 # solve_linear status markers
 UNIQUE = "unique"
@@ -296,11 +298,13 @@ class ExactMatrix:
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def _elim(self, aug=None):
-        """Forward elimination; returns (echelon rows, pivot column list).
+    def _reduce(self, aug=None):
+        """Gauss-Jordan reduction; returns (RREF rows, pivot column list).
 
-        aug, when given, holds one row of extra columns per matrix row,
-        carried along but never pivoted on.
+        Each pivot row is scaled to 1 at its pivot and cleared from every
+        other row, so a zero-divisor pivot (a reducible modulus) raises
+        ZeroDivisionError.  aug, when given, holds one row of extra
+        columns per matrix row, carried along but never pivoted on.
         """
         work = [self.row(i) for i in range(self.rows)]
         if aug is not None:
@@ -308,39 +312,30 @@ class ExactMatrix:
                 raise ValueError("rhs length %d != %d rows" % (len(aug), self.rows))
             for r, extra in zip(work, aug):
                 r.extend(_check_scalar(y) for y in extra)
-        ncols = self.cols
         pivots = []
-        rpos = 0
-        for col in range(ncols):
-            piv = None
-            for i in range(rpos, len(work)):
-                if work[i][col]:
-                    piv = i
-                    break
+        for col in range(self.cols):
+            rpos = len(pivots)
+            if rpos == len(work):
+                break
+            piv = next((i for i in range(rpos, len(work)) if work[i][col]), None)
             if piv is None:
                 continue
             work[rpos], work[piv] = work[piv], work[rpos]
             prow = work[rpos]
-            inv = prow[col]
+            inv = 1 / prow[col]
             nonzero = [j for j in range(col, len(prow)) if prow[j]]
-            for i in range(rpos + 1, len(work)):
-                c = work[i][col]
-                if c:
-                    factor = c / inv
-                    ri = work[i]
+            for j in nonzero:
+                prow[j] = prow[j] * inv
+            for i, ri in enumerate(work):
+                c = ri[col]
+                if c and i != rpos:
                     for j in nonzero:
-                        ri[j] = ri[j] - factor * prow[j]
+                        ri[j] = ri[j] - c * prow[j]
             pivots.append(col)
-            rpos += 1
-            if rpos == len(work):
-                break
         return work, pivots
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        _, pivots = self._elim()
-        return len(pivots)
+        return len(self._reduce()[1])
 
     def solve_linear(self, y):
         """Solve A x = y exactly.
@@ -348,24 +343,15 @@ class ExactMatrix:
         Returns (status, x) with status one of UNIQUE, INCONSISTENT,
         UNDERDETERMINED; x is None unless status is UNIQUE.
         """
-        work, pivots = self._elim(aug=[[v] for v in y])
+        work, pivots = self._reduce(aug=[[v] for v in y])
         n = self.cols
         # inconsistent: a zero row of A with nonzero rhs
-        for i in range(len(pivots), self.rows):
-            if work[i][n]:
-                return INCONSISTENT, None
+        if any(work[i][n] for i in range(len(pivots), self.rows)):
+            return INCONSISTENT, None
         if len(pivots) < n:
             return UNDERDETERMINED, None
-        # back substitution: rank == n, so row k pivots on column k
-        x = [None] * n
-        for k in range(n - 1, -1, -1):
-            row = work[k]
-            acc = row[n]
-            for j in range(k + 1, n):
-                if row[j]:
-                    acc = acc - row[j] * x[j]
-            x[k] = acc / row[k]
-        return UNIQUE, x
+        # rank == n: row k pivots on column k, so x[k] is its rhs entry
+        return UNIQUE, [work[k][n] for k in range(n)]
 
     def left_factor(self):
         """Gauss-Jordan on [A | I]: (left inverse, left kernel) of A.
@@ -376,43 +362,26 @@ class ExactMatrix:
         Dependent columns raise ValueError.
         """
         m, n = self.rows, self.cols
-        work, pivots = self._elim(aug=[[int(i == j) for j in range(m)] for i in range(m)])
+        work, pivots = self._reduce(aug=[[int(i == j) for j in range(m)] for i in range(m)])
         if len(pivots) < n:
             raise ValueError("dependent columns: rank %d < %d" % (len(pivots), n))
-        # rank == n: row k pivots on column k; clear above each pivot
-        for k in range(n - 1, -1, -1):
-            prow = work[k]
-            inv = 1 / prow[k]
-            nonzero = [j for j in range(k, n + m) if prow[j]]
-            for j in nonzero:
-                prow[j] = prow[j] * inv
-            for i in range(k):
-                c = work[i][k]
-                if c:
-                    ri = work[i]
-                    for j in nonzero:
-                        ri[j] = ri[j] - c * prow[j]
         return [r[n:] for r in work[:n]], [r[n:] for r in work[n:]]
 
     def kernel_basis(self):
-        """Basis of the right kernel {x : A x = 0}, one vector per free column."""
-        work, pivots = self._elim()
-        pivot_set = set(pivots)
+        """Basis of the right kernel {x : A x = 0}, one vector per free column.
+
+        The vector of free column fc has x[fc] = 1, 0 at the other free
+        columns and x[p] = -R[k][fc] at the pivot column p of RREF row k.
+        """
+        work, pivots = self._reduce()
         basis = []
         for fc in range(self.cols):
-            if fc in pivot_set:
+            if fc in pivots:
                 continue
             x = [0] * self.cols
             x[fc] = 1
-            for k in range(len(pivots) - 1, -1, -1):
-                row = work[k]
-                pcol = pivots[k]
-                acc = 0
-                for j in range(pcol + 1, self.cols):
-                    if x[j] and row[j]:
-                        acc = acc + row[j] * x[j]
-                if acc:
-                    x[pcol] = -(acc / row[pcol])
+            for row, pcol in zip(work, pivots):
+                x[pcol] = -row[fc]
             basis.append(tuple(x))
         return basis
 
@@ -423,18 +392,17 @@ class ExactMatrix:
 def minimal_polynomial(a: NumberFieldElement):
     """Monic minimal polynomial of a over Q, constant term first.
 
-    Found as the first linear dependency among 1, a, a^2, ...; the
-    length of the returned tuple is deg + 1.
+    Its coefficients are the first kernel vector of the d x (d+1) matrix
+    whose columns are 1, a, ..., a^d: the first free column is the first
+    power dependent on the ones before it.  The length of the returned
+    tuple is deg + 1.
     """
     d = a.field.degree
     powers = [a.field.one()]
     for _ in range(d):
         powers.append(powers[-1] * a)
-    for m in range(1, d + 1):
-        mat = ExactMatrix.from_rows(
-            [[powers[j].coeffs[i] for j in range(m)] for i in range(d)]
-        )
-        status, sol = mat.solve_linear([-c for c in powers[m].coeffs])
-        if status == UNIQUE:
-            return tuple(sol) + (Fraction(1),)
-    raise AssertionError("powers of a field element must become dependent")
+    mat = ExactMatrix.from_rows([[p.coeffs[i] for p in powers] for i in range(d)])
+    poly = list(mat.kernel_basis()[0])
+    while not poly[-1]:
+        poly.pop()
+    return tuple(poly)

@@ -87,10 +87,6 @@ def chi(t: int) -> DirichletChar:
     return DirichletChar(t)
 
 
-def char_eval(char: DirichletChar, n: int) -> int:
-    return char(n)
-
-
 # row order of the reference table of all primitive characters with
 # conductor dividing 24, and its evaluation columns
 TABLE_ROW_ORDER = (1, -24, -4, 24, 8, -3, -8, 12)
@@ -98,10 +94,8 @@ TABLE_COLUMNS = (1, 5, 7, 11, 13, 17, 19, 23)
 
 
 def character_table():
-    """The 8x8 grid char_eval(chi_t, u) for the standard row/column order."""
-    return tuple(
-        tuple(char_eval(chi(t), u) for u in TABLE_COLUMNS) for t in TABLE_ROW_ORDER
-    )
+    """The 8x8 grid chi_t(u) for the standard row/column order."""
+    return tuple(tuple(chi(t)(u) for u in TABLE_COLUMNS) for t in TABLE_ROW_ORDER)
 
 
 @lru_cache(maxsize=None)

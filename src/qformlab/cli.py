@@ -19,7 +19,6 @@ from .eisenstein import eisenstein3, parse_e3
 from .etaq import ligozat_check, parse_eta
 from .etasearch import enumerate_space, verify_remark_identities
 from .newforms import (
-    K1,
     NEWFORMS,
     _operator_label,
     build_newform,
@@ -31,6 +30,7 @@ from .newforms import (
 )
 from .qseries import GRADE, eta_quotient_expansion
 from .quadforms import (
+    DISPUTED_CELLS,
     QuadForm,
     all_forms,
     classify,
@@ -289,7 +289,7 @@ def _cmd_verify_tables(args) -> int:
             )
         )
         for exps, col, derived, printed in comp.mismatches:
-            tag = "DISPUTED" if (exps, col) not in [(e, c) for e, c, _, _ in bad] else "UNDISPUTED"
+            tag = "DISPUTED" if (exps, col) in DISPUTED_CELLS else "UNDISPUTED"
             lines.append(
                 "  row %s column %d: derived %s, printed %s [%s]"
                 % (exps, col, format_rational(derived), format_rational(printed), tag)
@@ -330,10 +330,7 @@ def _cmd_verify_newforms(args) -> int:
             built = build_newform("f1", max(count, 10))
             ref_ok = all(built.qcoeff(n) == ref.qcoeff(n) for n in range(10))
             combo = solve_back_f1()
-            expected = (1, 0, K1.generator() + 3, 4)
-            solve_ok = len(combo) == 4 and all(
-                x == y for x, y in zip(combo, expected)
-            )
+            solve_ok = combo == get_spec("f1").scalars()
             entry["reference_ok"] = ref_ok
             entry["solve_back_ok"] = solve_ok
             lines.append(

@@ -353,11 +353,7 @@ def verify_remark_identities(precision: int = 61):
     for ident in REMARK_IDENTITIES:
         lhs = eta_quotient_expansion(parse_eta(ident.label), GRADE * precision)
         rhs = remark_rhs(ident, precision)
-        mismatch = None
-        for n in range(precision):
-            if lhs.qcoeff(n) != rhs.qcoeff(n):
-                mismatch = n
-                break
+        mismatch = first_deviation(lhs, (1,), (rhs,), 0, precision)
         reports.append(
             IdentityReport(
                 label=ident.label,

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qformlab import newforms
 from qformlab.arith import (
     INCONSISTENT,
     UNDERDETERMINED,
@@ -159,6 +160,95 @@ def test_matrix_solve_over_number_field():
     assert status is UNIQUE
     assert a * x[0] + x[1] == 1
     assert x[0] + a * x[1] == 0
+
+
+# the one Gauss-Jordan reduction, read by every ExactMatrix question, over
+# Q and over the degree-4 newform field K2
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+K2_ELEMENTS = st.lists(
+    st.integers(min_value=-2, max_value=2), min_size=4, max_size=4
+).map(newforms.K2.element)
+
+
+def _times(rows, x):
+    return [sum((u * v for u, v in zip(r, x)), 0) for r in rows]
+
+
+@st.composite
+def _systems(draw, scalar):
+    """(rows, y): a matrix with zeros and a dependent row more likely than
+    chance, and a right-hand side in its column span about half the time."""
+    entry = st.one_of(st.just(0), scalar)
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        c = draw(scalar)
+        rows[-1] = [u + c * v for u, v in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(scalar, min_size=n, max_size=n))
+        y = _times(rows, x0)
+    else:
+        y = draw(st.lists(scalar, min_size=m, max_size=m))
+    return rows, y
+
+
+def _check_reduction_readers(rows, y):
+    a = ExactMatrix.from_rows(rows)
+    m, n = a.rows, a.cols
+    rank = a.rank()
+    # column j is free exactly when it adds no rank to the columns before it
+    ranks = [ExactMatrix.from_rows([r[:j] for r in rows]).rank() for j in range(n + 1)]
+    free = [j for j in range(n) if ranks[j + 1] == ranks[j]]
+    kernel = a.kernel_basis()
+    assert len(kernel) == len(free) == n - rank
+    for x, fc in zip(kernel, free):
+        assert _times(rows, x) == [0] * m
+        assert [x[j] for j in free] == [int(j == fc) for j in free]
+    status, x = a.solve_linear(y)
+    augmented = ExactMatrix.from_rows([r + [v] for r, v in zip(rows, y)]).rank()
+    if augmented > rank:
+        assert status is INCONSISTENT and x is None
+    elif rank < n:
+        assert status is UNDERDETERMINED and x is None
+    else:
+        assert status is UNIQUE
+        assert _times(rows, x) == y
+
+
+@given(_systems(RATIONALS))
+def test_reduction_readers_agree_over_q(system):
+    _check_reduction_readers(*system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems(K2_ELEMENTS))
+def test_reduction_readers_agree_over_k2(system):
+    _check_reduction_readers(*system)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((K2, newforms.K1, newforms.K2, newforms.K3)), st.data())
+def test_minimal_polynomial_is_monic_and_vanishes(field, data):
+    coeffs = data.draw(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=field.degree, max_size=field.degree)
+    )
+    a = field.element(coeffs)
+    poly = minimal_polynomial(a)
+    assert poly[-1] == 1
+    assert field.degree % (len(poly) - 1) == 0
+    value = field.zero()
+    for c in reversed(poly):
+        value = value * a + c
+    assert value == 0
+
+
+def test_zero_divisor_pivot_raises():
+    # over Q[x]/(x^2 - 1) the pivot a - 1 is a zero divisor: (a + 1, 0) is
+    # a kernel vector outside the span of (0, 1), so no basis is returned
+    a = NumberField((-1, 0, 1)).generator()
+    with pytest.raises(ZeroDivisionError):
+        ExactMatrix.from_rows([[a - 1, 0]]).kernel_basis()
 
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=97))

@@ -133,10 +133,22 @@ def _factor_product(f: EtaQuotient, L: int) -> QSeries:
     return num * den**-1
 
 
+@st.composite
+def _level24_exponents(draw, budget=12):
+    """Eight exponents in -4..4 with sum |r| <= budget, drawn directly:
+    each entry ranges over -min(4, left)..min(4, left) for the budget
+    left, so no draw is filtered away."""
+    out = []
+    for _ in range(8):
+        bound = min(4, budget)
+        r = draw(st.integers(min_value=-bound, max_value=bound))
+        budget -= abs(r)
+        out.append(r)
+    return out
+
+
 @given(
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=8, max_size=8).filter(
-        lambda r: sum(map(abs, r)) <= 12
-    ),
+    _level24_exponents(),
     st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=50, deadline=None)
@@ -154,9 +166,7 @@ def _q_steps(g: QSeries) -> int:
 
 
 @given(
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=8, max_size=8).filter(
-        lambda r: sum(map(abs, r)) <= 12
-    ),
+    _level24_exponents(),
     st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=50, deadline=None)
