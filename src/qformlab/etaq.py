@@ -226,15 +226,23 @@ class ModularityReport:
     """Outcome of the holomorphic-modular-form test for one eta quotient."""
 
     quotient: EtaQuotient
-    weight: Fraction
     cond_24_divides_at_infinity: bool
     cond_24_divides_at_zero: bool
     cond_nonnegative_cusp_orders: bool
     cond_positive_integral_weight: bool
-    cusp_orders: tuple  # ((c, Fraction), ...) over divisors of the level
+    cusp_totals: tuple  # ((c, total, den), ...): the order at 1/c is total / den
     character: object  # DirichletChar or None when not classifiable
     is_holomorphic: bool
     is_cuspidal: bool
+
+    @property
+    def weight(self) -> Fraction:
+        return self.quotient.weight
+
+    @property
+    def cusp_orders(self) -> tuple:
+        """((c, Fraction), ...) over divisors of the level."""
+        return tuple((c, Fraction(t, den)) for c, t, den in self.cusp_totals)
 
 
 def ligozat_check(f: EtaQuotient) -> ModularityReport:
@@ -256,23 +264,22 @@ def ligozat_check(f: EtaQuotient) -> ModularityReport:
         for c, (weights, den) in _order_weights(n).items()
     ]
     l3 = all(t >= 0 for _, t, _ in totals)
-    k = f.weight
-    l4 = k.denominator == 1 and k > 0
+    twice_k = sum(r)
+    l4 = twice_k % 2 == 0 and twice_k > 0
     holo = l1 and l2 and l3 and l4
     char = None
-    if k.denominator == 1:
+    if twice_k % 2 == 0:
         try:
             char = character_of(f)
         except ValueError:
             char = None
     return ModularityReport(
         quotient=f,
-        weight=k,
         cond_24_divides_at_infinity=l1,
         cond_24_divides_at_zero=l2,
         cond_nonnegative_cusp_orders=l3,
         cond_positive_integral_weight=l4,
-        cusp_orders=tuple((c, Fraction(t, den)) for c, t, den in totals),
+        cusp_totals=tuple(totals),
         character=char,
         is_holomorphic=holo,
         is_cuspidal=holo and all(t > 0 for _, t, _ in totals),

@@ -193,10 +193,11 @@ def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
     for coeff, spec in zip(row.eisenstein, basis.eisenstein):
         if coeff and n % spec.t == 0:
             total += coeff * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
-    ne = len(basis.eisenstein)
-    for coeff, series in zip(row.cusp, basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
-        if coeff:
-            total += coeff * series.qcoeff(n)
+    if any(row.cusp):
+        ne = len(basis.eisenstein)
+        for coeff, series in zip(row.cusp, basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
+            if coeff:
+                total += coeff * series.qcoeff(n)
     return total
 
 

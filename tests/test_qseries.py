@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qformlab import qseries
 
@@ -249,10 +249,85 @@ def test_eta_unit_coeffs_cache_is_bounded():
     assert len(qseries._EULER_POW_CACHE) == qseries._EULER_POW_CACHE_SIZE
 
 
+def _unit_reference(f: EtaQuotient, L: int) -> list:
+    """Unit coefficients of f at q^0..q^(L-1) from the QSeries ring."""
+    ref = _factor_product(f, L)
+    return [ref.coeff(f.valuation24() + GRADE * i) for i in range(L)]
+
+
+@given(
+    _level24_exponents(),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=400),
+)
+@example([0, 3, 0, -4, -5, 2, 16, -6], qseries._BLOCK + 1, 1)
+@example([0, 3, 0, -4, -5, 2, 16, -6], 2 * qseries._BLOCK + 2, 13)
+@example([4, -4, 4, 0, 0, 0, 0, 0], 400, 61)
+@settings(max_examples=40, deadline=None)
+def test_eta_unit_coeffs_matches_factor_product_fresh_and_resumed(exponents, x, y):
+    # growth past one block is summed in packed products, shorter growth
+    # term by term; a resume adds the cached prefix with one more product
+    m, L = sorted((x, y))
+    f = EtaQuotient(24, tuple(exponents))
+    want = _unit_reference(f, L)
+    qseries._EULER_POW_CACHE.clear()
+    assert eta_unit_coeffs(f.items(), L) == want
+    qseries._EULER_POW_CACHE.clear()
+    assert eta_unit_coeffs(f.items(), m) == want[:m]
+    assert eta_unit_coeffs(f.items(), L) == want
+
+
+@given(_level24_exponents(), st.integers(min_value=1, max_value=300))
+@settings(max_examples=25, deadline=None)
+def test_eta_unit_coeffs_grows_by_one_block_and_one_more(exponents, m):
+    f = EtaQuotient(24, tuple(exponents))
+    want = _unit_reference(f, m + qseries._BLOCK + 1)
+    for grow in (qseries._BLOCK, qseries._BLOCK + 1):
+        qseries._EULER_POW_CACHE.clear()
+        assert eta_unit_coeffs(f.items(), m) == want[:m]
+        assert eta_unit_coeffs(f.items(), m + grow) == want[: m + grow]
+
+
+@pytest.mark.parametrize("k", [1, 5, 61, 65, 201])
+def test_packed_product_is_exact_at_the_slot_bound(k):
+    # 63 entries of bit length k, one sign per list: the coefficient at
+    # q^62 is 63 (2^k - 1)^2 in size, past 2^(2k + 5), so for these k a
+    # slot one bit narrower than the bound (2k + 6 bits, whole bytes)
+    # would overflow
+    top = (1 << k) - 1
+    for xs, ys in (([top] * 63, [-top] * 63), ([-top] * 63, [-top] * 63)):
+        want = naive_product(xs, ys, 63)
+        assert qseries._mul_low(xs, ys, 0, 63) == want
+        assert qseries._mul_low(xs, ys, 40, 63) == want[40:]
+
+
+@pytest.mark.parametrize("L", [300, 400])
+def test_eta_unit_coeffs_wide_slots(L):
+    # 1/eta(z)^24 has coefficients past 2^64 by q^300, so its packed
+    # products need slots wider than 64 bits
+    f = EtaQuotient(1, (-24,))
+    qseries._EULER_POW_CACHE.clear()
+    got = eta_unit_coeffs(f.items(), L)
+    assert max(map(abs, got)).bit_length() > 64
+    assert got == _unit_reference(f, L)
+
+
 def test_eta_unit_coeffs_checks_every_division():
     # (1 - q)^(1/2) = 1 - q/2 - ...: the q^1 step divides -1/2 by 1
-    with pytest.raises(ArithmeticError, match=r"q\^1\b"):
-        eta_unit_coeffs(((1, Fraction(1, 2)),), 3)
+    for L in (3, 200):
+        with pytest.raises(ArithmeticError, match=r"q\^1\b"):
+            eta_unit_coeffs(((1, Fraction(1, 2)),), L)
+    # eta(97z)^(1/2) first shows at q^97, after a blocked growth to q^96
+    with pytest.raises(ArithmeticError, match=r"q\^97\b"):
+        eta_unit_coeffs(((1, 2), (97, Fraction(1, 2))), 200)
+    # a wrong cached g_99 meets a_1 = -1 at q^100, the first coefficient
+    # of a blocked resume, whose division must be checked as well
+    items = ((1, 1),)
+    qseries._EULER_POW_CACHE.clear()
+    eta_unit_coeffs(items, 100)
+    qseries._EULER_POW_CACHE[items][1][99] += 1
+    with pytest.raises(ArithmeticError, match=r"q\^100\b"):
+        eta_unit_coeffs(items, 300)
 
 
 def test_eta_quotient_valuation():

@@ -157,7 +157,10 @@ def test_formula_rejects_n0():
 def test_formula_reads_a_growing_cusp_cache(disc):
     # descending from a cold cache builds one expansion to q^400 and reads
     # it for every smaller n; ascending grows it one precision at a time
-    exps = next(e for e in all_forms() if classify(e).discriminant == disc)
+    exps = next(
+        e for e in all_forms()
+        if classify(e).discriminant == disc and any(derive_formula(e).cusp)
+    )
     row = derive_formula(exps)
     theta = genfun(exps, 401)
     for ns in (range(400, 0, -1), range(1, 401)):
@@ -166,6 +169,15 @@ def test_formula_reads_a_growing_cusp_cache(disc):
             assert rep_count_formula(row, n) == theta.qcoeff(n)
         ne = len(spaces.build_basis(disc).eisenstein)
         assert all(e.qprecision() == 401 for e in spaces._EXPANSIONS[disc][ne:])
+
+
+@pytest.mark.parametrize("exps", [(6, 0, 0, 0), (5, 1, 0, 0), (0, 0, 1, 5)])
+def test_formula_without_cusp_part_reads_no_expansion(exps):
+    row = derive_formula(exps)
+    assert not any(row.cusp)
+    spaces._EXPANSIONS.clear()
+    assert rep_count_formula(row, 500) == genfun(exps, 501).qcoeff(500)
+    assert row.character.discriminant not in spaces._EXPANSIONS
 
 
 def test_ascending_queries_equal_cold_single_queries(monkeypatch):
