@@ -56,17 +56,27 @@ def kronecker(t: int, n: int) -> int:
 
 
 class DirichletChar:
-    """Real character chi_t(n) = (t/n) for a quadratic discriminant t."""
+    """Real character chi_t(n) = (t/n) for a quadratic discriminant t.
 
-    __slots__ = ("discriminant", "conductor")
+    Each supported t is a fundamental discriminant (or 1), so (t/n) is
+    periodic in n modulo |t|, the conductor, for every integer n,
+    including 0 and negatives.  The character keeps one period of
+    `kronecker` values, built at construction, and reads an int
+    argument from it; any other argument goes through `kronecker`.
+    """
+
+    __slots__ = ("discriminant", "conductor", "_period")
 
     def __init__(self, discriminant: int):
         if discriminant not in CONDUCTOR:
             raise ValueError("unsupported discriminant %r" % (discriminant,))
         self.discriminant = discriminant
         self.conductor = CONDUCTOR[discriminant]
+        self._period = tuple(kronecker(discriminant, n) for n in range(self.conductor))
 
     def __call__(self, n: int) -> int:
+        if isinstance(n, int):
+            return self._period[n % self.conductor]
         return kronecker(self.discriminant, n)
 
     def is_odd(self) -> bool:

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import floor
 
 from .arith import format_rational
@@ -417,6 +418,10 @@ def _cmd_verify_remarks(args) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
+# built once per process: every parse starts a fresh Namespace, and no
+# option has a mutable default (no append action, no nargs), so no parse
+# leaves state behind for the next
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qformlab",

@@ -4,20 +4,25 @@ Five newforms live in the three nontrivial cusp spaces: one with
 character chi(-3) over Q(a) with a^2 - 2a + 9 = 0, one with chi(-8)
 over a quartic field, and three with chi(-24), two rational and one
 quartic.  Each is stored as its coordinate vector over the ordered
-cusp basis of its space.  `check_eigenform` tests the Hecke relations
-coefficient by coefficient, and `rederive_newform` recovers an
+cusp basis of its space.  A q-expansion is built without field
+products: the integer cusp series are summed once per power of the
+field generator, weighted by the coordinates at that power over one
+denominator, and each coefficient is assembled from those sums
+(`_combine`).  `check_eigenform` tests the Hecke relations coefficient
+by coefficient in the field, and `rederive_newform` recovers an
 eigenform independently from a Hecke operator matrix, as a safety net
 against transcription slips in the printed combinations.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import (
     ExactMatrix,
     INCONSISTENT,
     NumberField,
+    NumberFieldElement,
     UNIQUE,
     _poly_divmod,
     _poly_trim,
@@ -25,7 +30,7 @@ from .arith import (
 )
 from .characters import chi
 from .etaq import divisors
-from .qseries import GRADE, QSeries
+from .qseries import GRADE, QSeries, _steps
 from .spaces import basis_expansions, build_basis, span_solver, sturm_bound
 
 __all__ = [
@@ -122,12 +127,54 @@ def _cusp_expansions(disc: int, precision: int):
 
 
 def _combine(scalars, cusp, precision: int) -> QSeries:
-    """sum(scalars * cusp series), q^0..q^(precision-1) known."""
-    total = QSeries.zero(GRADE * precision)
-    for x, series in zip(scalars, cusp):
-        if x:
-            total = total + series.scale(x)
-    return total
+    """sum(scalars * cusp series), q^0..q^(precision-1) known.
+
+    The cusp series have integer coefficients, so the sum is taken one
+    generator power at a time.  Scalar i is split into its rational
+    coordinates x_ik on 1, a, ..., a^(d-1); a rational scalar is one
+    coordinate, and a combination of rational scalars has d = 1.  For
+    each power k the cusp series are summed in ints with weights
+    x_ik * den_k, den_k the least common denominator of the coordinates
+    at k.  The coefficient at q^n is built once, from the coordinates
+    S_k[n] / den_k of those sums: a field element, or a Fraction when
+    d = 1, and the int 0 where it vanishes.  No field product runs; none
+    is needed, since every scalar is already reduced.
+    """
+    used = [(x, s) for x, s in zip(scalars, cusp) if x]
+    trunc = min([GRADE * precision] + [s.trunc for _, s in used])
+    used = [(x, s) for x, s in used if s.val < trunc]
+    if not used:
+        return QSeries.zero(trunc)
+    field = next((x.field for x, _ in used if isinstance(x, NumberFieldElement)), None)
+    d = 1 if field is None else field.degree
+    coords = [
+        x.coeffs if isinstance(x, NumberFieldElement) else (Fraction(x),) + (Fraction(0),) * (d - 1)
+        for x, _ in used
+    ]
+    dens = [lcm(*(c[k].denominator for c in coords)) for k in range(d)]
+    lo = min(s.val for _, s in used)
+    size = _steps(lo, trunc)
+    sums = [[0] * size for _ in range(d)]
+    for xs, (_, s) in zip(coords, used):
+        off, r = divmod(s.val - lo, GRADE)
+        if r:
+            raise ValueError("cannot add series at exponents %d and %d mod %d" % (lo, s.val, GRADE))
+        terms = [(j, c) for j, c in enumerate(s.coeffs[: size - off], off) if c]
+        for x, den, row in zip(xs, dens, sums):
+            w = x.numerator * (den // x.denominator)
+            if w:
+                for j, c in terms:
+                    row[j] += w * c
+    if field is None:
+        (row,) = sums
+        (den,) = dens
+        out = [Fraction(v, den) if v else 0 for v in row]
+    else:
+        out = [
+            NumberFieldElement(field, tuple(map(Fraction, col, dens))) if any(col) else 0
+            for col in zip(*sums)
+        ]
+    return QSeries(lo, out, trunc)
 
 
 def build_newform(name: str, precision: int = 120) -> QSeries:

@@ -15,6 +15,7 @@ coefficients; nothing here ever touches floating point.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .etaq import EtaQuotient
@@ -304,35 +305,45 @@ def _log_derivative(key, start: int, stop: int):
     return g
 
 
-def _mul_low(xs, ys, start: int, stop: int) -> list:
-    """Coefficients start..stop-1 of the product of the int lists xs, ys.
+def _slot_bytes(bx: int, by: int, n: int) -> int:
+    """Bytes per slot that hold every product coefficient exactly.
 
-    Each list is packed into one int, entry i in slot i of width 8 kb
-    bits, and the two ints are multiplied once.  A product coefficient
-    below q^stop is a sum of at most n = min(len(xs), len(ys), stop)
-    terms, each smaller than 2^(bx + by) for bx, by the largest bit
-    lengths, so slots of bx + by + bitlen(n) + 1 bits hold every signed
-    coefficient exactly, however large the entries are.
+    A product coefficient of two packed int lists, below q^stop, is a
+    sum of at most n = min(len(xs), len(ys), stop) terms, each smaller
+    than 2^(bx + by) for bx, by the largest bit lengths of the entries
+    that reach it, so slots of bx + by + bitlen(n) + 1 bits hold every
+    signed coefficient, however large the entries are.
     """
-    xs, ys = xs[:stop], ys[:stop]
-    bits = (max(map(int.bit_length, xs)) + max(map(int.bit_length, ys))
-            + min(len(xs), len(ys)).bit_length() + 1)
-    kb = (bits + 7) // 8
+    return (bx + by + n.bit_length() + 1 + 7) // 8
+
+
+def _pack(zs, kb: int) -> int:
+    """sum_i z_i 2^(8 kb i), built from the unsigned slots z_i + 2^(8 kb - 1)."""
+    half = 1 << (8 * kb - 1)
+    slots = b"".join([(z + half).to_bytes(kb, "little") for z in zs])
+    return int.from_bytes(slots, "little") - int.from_bytes(half.to_bytes(kb, "little") * len(zs), "little")
+
+
+def _unpack_low(prod: int, kb: int, start: int, stop: int) -> list:
+    """Coefficients start..stop-1 of a product of two ints packed in kb-byte slots."""
     width = 8 * kb
     half = 1 << (width - 1)
-    halves = half.to_bytes(kb, "little")
-
-    def pack(zs):
-        """sum_i z_i 2^(width i), built from the unsigned slots z_i + half."""
-        slots = b"".join((z + half).to_bytes(kb, "little") for z in zs)
-        return int.from_bytes(slots, "little") - int.from_bytes(halves * len(zs), "little")
-
     # adding half to every slot below q^stop makes slot i hold c_i + half,
     # which lies strictly between 0 and 2^width, so no carry crosses a slot
     n = stop - start
-    low = pack(xs) * pack(ys) + int.from_bytes(halves * stop, "little")
+    low = prod + int.from_bytes(half.to_bytes(kb, "little") * stop, "little")
     buf = ((low >> (width * start)) & ((1 << (width * n)) - 1)).to_bytes(kb * n, "little")
     return [int.from_bytes(buf[i:i + kb], "little") - half for i in range(0, kb * n, kb)]
+
+
+def _mul_low(xs, ys, start: int, stop: int) -> list:
+    """Coefficients start..stop-1 of the product of the int lists xs, ys:
+    each list packed into one int, slots sized by `_slot_bytes`, and the
+    two ints multiplied once."""
+    xs, ys = xs[:stop], ys[:stop]
+    kb = _slot_bytes(max(map(int.bit_length, xs)), max(map(int.bit_length, ys)),
+                     min(len(xs), len(ys)))
+    return _unpack_low(_pack(xs, kb) * _pack(ys, kb), kb, start, stop)
 
 
 def _inexact(key, n: int) -> ArithmeticError:
@@ -372,12 +383,21 @@ def _grow_blocked(key, a, g, L: int):
     # grev[top-k] = g_k, so grev[top-n+lo:top] is g_(n-lo), ..., g_1
     grev = g[stop - 1::-1]
     top = stop - 1
+    # g does not change during the growth, so each prefix g_0..g_(k-1)
+    # is packed once per slot width; gbits[k] is the largest bit length
+    # of g_0..g_(k-1)
+    gbits = [0] + list(accumulate(map(int.bit_length, g[:stop]), max))
+    gpacked = {}
 
     def solve(lo, hi):
         if hi - lo > _BLOCK:
             mid = (lo + hi) // 2
             solve(lo, mid)
-            upper = _mul_low(a[lo:mid], g, mid - lo, hi - lo)
+            xs = a[lo:mid]
+            kb = _slot_bytes(max(map(int.bit_length, xs)), gbits[hi - lo], mid - lo)
+            if (hi - lo, kb) not in gpacked:
+                gpacked[hi - lo, kb] = _pack(g[:hi - lo], kb)
+            upper = _unpack_low(_pack(xs, kb) * gpacked[hi - lo, kb], kb, mid - lo, hi - lo)
             for i, c in enumerate(upper, mid - m):
                 acc[i] += c
             solve(mid, hi)

@@ -46,6 +46,13 @@ def test_period_divides_conductor(t):
 
 
 @pytest.mark.parametrize("t", KNOWN_DISCRIMINANTS)
+def test_period_table_matches_kronecker(t):
+    c = chi(t)
+    for n in range(-200, 201):
+        assert c(n) == kronecker(t, n), n
+
+
+@pytest.mark.parametrize("t", KNOWN_DISCRIMINANTS)
 def test_vanishes_off_coprime(t):
     c = chi(t)
     from math import gcd

@@ -46,6 +46,24 @@ def test_eta_expand_precision_below_order_exits_2(capsys):
     assert out.strip() == "eta8[0,0,3,0] = q^(1/2) + O(q)"
 
 
+def test_repeated_calls_share_no_parse_state(capsys):
+    # the parser is built once per process: an option or a usage error of
+    # one call must not leak into the next
+    first = run_cli(capsys, "verify-remarks", "--precision", "20")
+    assert run_cli(capsys, "verify-remarks", "--precision", "20", "--json")[0] == 0
+    assert run_cli(capsys, "eisenstein", "E3[-4,1,2]", "--precision", "9")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["rep-count", "--form", "1,1,1,1,1,1"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr()
+    assert usage.out == ""
+    assert run_cli(capsys, "verify-remarks", "--precision", "20") == first
+    assert first[0] == 0 and first[1]
+    with pytest.raises(SystemExit):
+        main(["rep-count", "--form", "1,1,1,1,1,1"])
+    assert capsys.readouterr() == usage
+
+
 def test_bad_label_exits_2(capsys):
     code, _, err = run_cli(capsys, "eta-expand", "eta24[1,2]")
     assert code == 2

@@ -7,7 +7,7 @@ import pytest
 
 from qformlab import etasearch
 from qformlab.arith import UNIQUE, ExactMatrix
-from qformlab.characters import chi
+from qformlab.characters import chi, sigma_twisted
 from qformlab.etaq import EtaQuotient, cusp_order, divisors, ligozat_check, parse_eta
 from qformlab.etasearch import (
     B_MATRIX,
@@ -267,6 +267,21 @@ def test_remark_rhs_constant_terms():
     # the q^0 term of the right-hand side is the identity's constant
     for ident in REMARK_IDENTITIES:
         assert remark_rhs(ident, 3).qcoeff(0) == ident.constant
+
+
+def test_remark_rhs_matches_twisted_divisor_sums():
+    # the sieve against the definition: constant + scale * sum c sigma(n/t)
+    for ident in REMARK_IDENTITIES:
+        rhs = remark_rhs(ident, 301)
+        assert rhs.trunc == GRADE * 301
+        assert rhs.qcoeff(0) == ident.constant
+        for n in range(1, 301):
+            want = ident.scale * sum(
+                c * sigma_twisted(2, chi(cd), chi(pd), n // t)
+                for c, cd, pd, t in ident.terms
+                if n % t == 0
+            )
+            assert rhs.qcoeff(n) == want, (ident.label, n)
 
 
 def test_verify_remark_identities():

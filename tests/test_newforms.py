@@ -1,7 +1,9 @@
 import hashlib
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qformlab import spaces
 from qformlab.arith import ExactMatrix, format_rational, minimal_polynomial
@@ -12,6 +14,8 @@ from qformlab.newforms import (
     K3,
     NEWFORMS,
     _charpoly,
+    _combine,
+    _cusp_expansions,
     _hecke_matrix,
     _hecke_report,
     _peel_rational_roots,
@@ -25,6 +29,7 @@ from qformlab.newforms import (
     solve_back_f1,
 )
 
+from qformlab.qseries import GRADE, QSeries
 from qformlab.quadforms import derive_formula, rep_count_formula
 
 NAMES = tuple(s.name for s in NEWFORMS)
@@ -213,3 +218,55 @@ def test_rederive_below_q49_checks_only_the_p5_relation():
     red = rederive_newform("f1", precision=30)
     assert red.ok
     assert red.report.hecke_p2_ok == ((5, True),)
+
+
+_SPACE_FIELDS = ((-3, K1), (-8, K2), (-24, K3))
+
+
+@st.composite
+def _combinations(draw):
+    """(scalars, cusp series, precision): rational or K1/K2/K3 scalars,
+    some zero, or, when drawn, two nonzero scalars whose terms cancel at
+    one q^n."""
+    disc, field = draw(st.sampled_from(_SPACE_FIELDS))
+    if draw(st.booleans()):
+        field = None
+    # precision 1 lies below every cusp valuation; the series are passed
+    # either cut to the precision or known further
+    precision = draw(st.integers(min_value=1, max_value=40))
+    _, cusp = _cusp_expansions(disc, 41)
+    if draw(st.booleans()):
+        cusp = tuple(s.truncated(GRADE * precision) for s in cusp)
+    coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    scalars = []
+    for _ in cusp:
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            scalars.append(Fraction(0) if field is None else field.zero())
+        elif field is None:
+            scalars.append(draw(coordinate))
+        else:
+            scalars.append(field.element(draw(st.lists(coordinate, min_size=field.degree, max_size=field.degree))))
+    if draw(st.booleans()):
+        # keep two scalars, the second chosen so that the sum vanishes at q^n
+        n = draw(st.integers(min_value=1, max_value=precision))
+        i, j = draw(st.permutations(range(len(cusp))))[:2]
+        if n < precision and cusp[i].qcoeff(n) and cusp[j].qcoeff(n):
+            x = scalars[i] or 1 + scalars[i]
+            scalars = [0 * x] * len(cusp)
+            scalars[i] = x
+            scalars[j] = -x * Fraction(cusp[i].qcoeff(n), cusp[j].qcoeff(n))
+    return scalars, cusp, precision
+
+
+@given(_combinations())
+@settings(max_examples=60, deadline=None)
+def test_combine_matches_scaled_series_sum(combination):
+    scalars, cusp, precision = combination
+    want = reduce(
+        QSeries.__add__,
+        (s.scale(x) for x, s in zip(scalars, cusp)),
+        QSeries.zero(GRADE * precision),
+    )
+    got = _combine(scalars, cusp, precision)
+    assert got == want
+    assert all(got.qcoeff(n) == want.qcoeff(n) for n in range(precision))
