@@ -13,10 +13,14 @@ on the first nonzero pivot (all that exact arithmetic needs), and rank,
 solve_linear, kernel_basis, left_factor and minimal_polynomial each read
 their answer from the reduced row echelon form it returns.  Every pivot
 is inverted, so over a reducible modulus a zero-divisor pivot raises
-ZeroDivisionError.
+ZeroDivisionError.  minimal_polynomial serves both a number-field
+element and a square rational matrix (a Hecke operator): either way it
+is the first dependency among the coordinates of 1, b, b^2, ...
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 # solve_linear status markers
 UNIQUE = "unique"
@@ -389,20 +393,40 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d)" % (self.rows, self.cols)
 
 
-def minimal_polynomial(a: NumberFieldElement):
-    """Monic minimal polynomial of a over Q, constant term first.
+def minimal_polynomial(a):
+    """Monic minimal polynomial over Q of a field element or of a square
+    rational ExactMatrix, constant term first, every entry a Fraction.
 
-    Its coefficients are the first kernel vector of the d x (d+1) matrix
-    whose columns are 1, a, ..., a^d: the first free column is the first
-    power dependent on the ones before it.  The length of the returned
-    tuple is deg + 1.
+    Its coefficients are the first kernel vector of the matrix whose
+    columns are the coordinates of 1, b, ..., b^d: the first free column
+    is the first power dependent on the ones before it.  For a field
+    element b = a, with its d coefficients as coordinates.  For a k x k
+    matrix d = k (Cayley-Hamilton) and b = D a, D the least common
+    denominator of the entries, so the powers are int matrix products,
+    read row by row; a coefficient c_i of the polynomial of b, of degree
+    m, is c_i / D^(m-i) for a.  The length of the returned tuple is
+    m + 1.
     """
-    d = a.field.degree
-    powers = [a.field.one()]
-    for _ in range(d):
-        powers.append(powers[-1] * a)
-    mat = ExactMatrix.from_rows([[p.coeffs[i] for p in powers] for i in range(d)])
-    poly = list(mat.kernel_basis()[0])
+    if isinstance(a, ExactMatrix):
+        if a.rows != a.cols:
+            raise ValueError("minimal polynomial of a %d x %d matrix" % (a.rows, a.cols))
+        den = lcm(*(e.denominator for e in a.entries))
+        b = [[int(e * den) for e in a.row(i)] for i in range(a.rows)]
+        bcols = list(zip(*b))
+        power = [[int(i == j) for j in range(a.cols)] for i in range(a.rows)]
+        columns = [sum(power, [])]
+        for _ in range(a.rows):
+            power = [[sum(map(mul, r, c)) for c in bcols] for r in power]
+            columns.append(sum(power, []))
+    else:
+        den = 1
+        power = a.field.one()
+        columns = [power.coeffs]
+        for _ in range(a.field.degree):
+            power = power * a
+            columns.append(power.coeffs)
+    poly = list(ExactMatrix.from_rows(list(zip(*columns))).kernel_basis()[0])
     while not poly[-1]:
         poly.pop()
-    return tuple(poly)
+    m = len(poly) - 1
+    return tuple(Fraction(c) / den ** (m - i) for i, c in enumerate(poly))

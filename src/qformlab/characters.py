@@ -11,6 +11,7 @@ Gamma_0(24).
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 # discriminant -> conductor
 CONDUCTOR = {1: 1, -3: 3, -4: 4, 8: 8, -8: 8, 12: 12, 24: 24, -24: 24}
@@ -158,3 +159,19 @@ def sigma_twisted(k: int, char: DirichletChar, psi: DirichletChar, n) -> int:
                 total += char(e) * psi(d) * e**k
         d += 1
     return total
+
+
+def sigma_twisted_table(k: int, char: DirichletChar, psi: DirichletChar, size: int):
+    """[sigma_twisted(k, char, psi, n) for n in range(size)] from one sieve.
+
+    chi(d) d^k psi(e) is added at n = d e for every d e < size, the
+    multiples of d taken in one slice; index 0 stays 0.
+    """
+    out = [0] * size
+    psis = [psi(e) for e in range(size)]
+    for d in range(1, size):
+        w = char(d) * d**k
+        if w:
+            hits = slice(d, size, d)
+            out[hits] = map(add, out[hits], map(w.__mul__, psis[1 : (size - 1) // d + 1]))
+    return out

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletChar, chi, gen_bernoulli3, sigma_twisted
+from .characters import DirichletChar, chi, gen_bernoulli3, sigma_twisted_table
 from .qseries import GRADE, QSeries
 
 __all__ = ["EisensteinSpec", "eisenstein3", "parse_e3"]
@@ -48,17 +48,10 @@ def eisenstein3(chi_char: DirichletChar, psi: DirichletChar, t: int = 1,
     spec = EisensteinSpec(chi_char, psi, t)
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    terms = []
-    c0 = spec.constant_term()
-    if c0:
-        terms.append((0, c0))
-    n = 1
-    while t * n < precision:
-        a = sigma_twisted(2, chi_char, psi, n)
-        if a:
-            terms.append((GRADE * t * n, a))
-        n += 1
-    return QSeries.from_terms(terms, GRADE * precision)
+    coeffs = [0] * precision
+    coeffs[::t] = sigma_twisted_table(2, chi_char, psi, (precision - 1) // t + 1)
+    coeffs[0] = spec.constant_term()
+    return QSeries(0, coeffs, GRADE * precision)
 
 
 _E3_LABEL = re.compile(r"^E3\[(-?\d+),(-?\d+)(?:,(\d+))?\]$")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .characters import DirichletChar, chi
+from .characters import DirichletChar, chi, sigma_twisted_table
 from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, eta_quotient_expansion, eta_unit_coeffs
 # _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
@@ -331,23 +331,15 @@ REMARK_IDENTITIES = (
 def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
     """Right-hand side of one identity, q^0..q^(precision-1) known.
 
-    The twisted divisor sums of all q-powers come from one sieve per
-    term: c chi(d) psi(e) d^2 is added at q^(t d e) for every d e <=
-    (precision - 1) / t, so acc[n] is the integer sum over terms of
-    c sigma_(2,chi,psi)(n/t).  `scale` and `constant` enter only when
+    Each term reads the twisted divisor sums of all its q-powers from
+    one `sigma_twisted_table`, so acc[n] is the integer sum over terms
+    of c sigma_(2,chi,psi)(n/t).  `scale` and `constant` enter only when
     the series is built.
     """
     acc = [0] * precision
     for c, cd, pd, t in identity.terms:
-        char, psi = chi(cd), chi(pd)
-        top = (precision - 1) // t
-        psis = [psi(e) for e in range(top + 1)]
-        for d in range(1, top + 1):
-            w = c * char(d) * d * d
-            if w:
-                # acc[t d e] for e = 1..top // d
-                hits = slice(t * d, precision, t * d)
-                acc[hits] = map(add, acc[hits], map(w.__mul__, psis[1 : top // d + 1]))
+        table = sigma_twisted_table(2, chi(cd), chi(pd), (precision - 1) // t + 1)
+        acc[::t] = map(add, acc[::t], map(c.__mul__, table))
     scale = identity.scale
     coeffs = [identity.constant] + [scale * v if v else 0 for v in acc[1:]]
     return QSeries(0, coeffs, GRADE * precision)

@@ -25,7 +25,6 @@ from .arith import (
     NumberFieldElement,
     UNIQUE,
     _poly_divmod,
-    _poly_trim,
     minimal_polynomial,
 )
 from .characters import chi
@@ -301,105 +300,26 @@ def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
     )
 
 
-def _charpoly(m: ExactMatrix):
-    """Characteristic polynomial via Faddeev-LeVerrier; ascending, monic."""
-    k = m.rows
-    cur = [[m[i, j] for j in range(k)] for i in range(k)]
-    cs = []
-    for j in range(1, k + 1):
-        tr = sum(cur[i][i] for i in range(k))
-        cj = -tr / j
-        cs.append(cj)
-        if j < k:
-            shifted = [
-                [cur[r][c] + (cj if r == c else 0) for c in range(k)]
-                for r in range(k)
-            ]
-            cur = [
-                [
-                    sum(m[r, t] * shifted[t][c] for t in range(k))
-                    for c in range(k)
-                ]
-                for r in range(k)
-            ]
-    return tuple(reversed(cs)) + (Fraction(1),)
-
-
-def _poly_eval(poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _synthetic_divide(poly, r):
-    """poly / (x - r) for an exact root r; ascending coefficients."""
-    quot = [0] * (len(poly) - 1)
-    carry = poly[-1]
-    for i in range(len(poly) - 2, -1, -1):
-        quot[i] = carry
-        carry = poly[i] + carry * r
-    if carry != 0:
-        raise ValueError("not a root")
-    return quot
-
-
 def _peel_rational_roots(poly):
     """Split ascending monic integer poly into (roots, remaining factor)."""
     ints = []
     for c in poly:
         f = Fraction(c)
         if f.denominator != 1:
-            raise ValueError("expected an integral characteristic polynomial")
+            raise ValueError("expected an integral polynomial")
         ints.append(f.numerator)
     roots = []
     while len(ints) > 1:
         c0 = ints[0]
-        cand = [0] if c0 == 0 else []
-        if c0 != 0:
-            for d in divisors(abs(c0)):
-                cand.extend((d, -d))
-        hit = None
-        for r in cand:
-            if _poly_eval(ints, r) == 0:
-                hit = r
-                break
+        cand = [0] if c0 == 0 else [sign * d for d in divisors(abs(c0)) for sign in (1, -1)]
+        hit = next((r for r in cand if sum(c * r**i for i, c in enumerate(ints)) == 0), None)
         if hit is None:
             break
-        ints = _synthetic_divide(ints, hit)
+        # a Fraction divisor keeps _poly_divmod exact (1 / int lead is a float)
+        quot, _ = _poly_divmod(ints, (Fraction(-hit), Fraction(1)))
+        ints = [int(c) for c in quot]
         roots.append(hit)
     return roots, tuple(Fraction(c) for c in ints)
-
-
-def _poly_gcd(a, b):
-    """Monic gcd in Q[x]; inputs ascending coefficient sequences."""
-    a = _poly_trim([Fraction(c) for c in a])
-    b = _poly_trim([Fraction(c) for c in b])
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _squarefree_factor(poly):
-    """poly / gcd(poly, poly'), monic: drops repeated roots.
-
-    Eigenvalues of a Hecke operator can repeat across a conjugacy
-    orbit, leaving the residual characteristic factor a perfect power;
-    the eigenvalue's minimal polynomial is the squarefree part.
-    """
-    deriv = [i * c for i, c in enumerate(poly)][1:]
-    g = _poly_gcd(poly, deriv)
-    if len(g) <= 1:
-        return tuple(Fraction(c) for c in poly)
-    q, r = _poly_divmod(list(poly), g)
-    if r:
-        raise AssertionError("gcd must divide the polynomial")
-    lead = q[-1]
-    return tuple(c / lead for c in q)
 
 
 @dataclass(frozen=True)
@@ -431,12 +351,15 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
     """Recover the non-rational newform of a space without using its combo.
 
     Tries each operator (a sum of T_p over the listed primes) on the
-    cusp space: strips rational eigenvalues from its characteristic
-    polynomial, reduces the leftover factor to its squarefree part, and
-    extracts the normalized eigenvector over that field.  A single T_p
-    need not separate the conjugacy orbit (all four embeddings of a
-    degree-4 form may share a(p) up to sign), which is why summed
-    operators are in the default list.  The result carries its own
+    cusp space: strips rational eigenvalues from the minimal polynomial
+    of its matrix, read off one reduction, and extracts the normalized
+    eigenvector over the field of the leftover factor.  The T_p with p
+    prime to 24 are normal for the Petersson product, so their sums are
+    diagonalizable and that minimal polynomial is the squarefree part
+    of the characteristic polynomial.  A single T_p need not separate
+    the conjugacy orbit (all four embeddings of a degree-4 form may
+    share a(p) up to sign), which is why summed operators are in the
+    default list.  The result carries its own
     Hecke report plus a comparison between the printed combo's
     eigenvalue minimal polynomial and the rederived field polynomial.
     """
@@ -458,13 +381,9 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
             ]
         )
         label = _operator_label(ops)
-        _, factor = _peel_rational_roots(_charpoly(mat))
+        _, factor = _peel_rational_roots(minimal_polynomial(mat))
         if len(factor) < 3:
             last_note = "%s splits rationally; no residual factor" % label
-            continue
-        factor = _squarefree_factor(factor)
-        if len(factor) < 3:
-            last_note = "%s residual factor is a power of a linear" % label
             continue
         field = NumberField(factor)
         lam = field.generator()

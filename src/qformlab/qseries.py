@@ -142,7 +142,8 @@ class QSeries:
             for e, c in s.terms():
                 if e < trunc:
                     i = (e - lo) // GRADE
-                    out[i] = out[i] + c
+                    # a cancelled coefficient is the int 0 whatever its type
+                    out[i] = out[i] + c or 0
         return QSeries(lo, out, trunc)
 
     def scale(self, c) -> "QSeries":

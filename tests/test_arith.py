@@ -243,6 +243,34 @@ def test_minimal_polynomial_is_monic_and_vanishes(field, data):
     assert value == 0
 
 
+@settings(deadline=None)
+@given(st.sampled_from((newforms.K1, newforms.K2, newforms.K3)), st.data())
+def test_minimal_polynomial_of_an_element_is_that_of_its_multiplication_matrix(field, data):
+    # a list shorter than the degree leaves the top coordinates 0, so
+    # length 1 draws the rational elements
+    coeffs = data.draw(st.lists(RATIONALS, min_size=1, max_size=field.degree))
+    a = field.element(coeffs)
+    # column j holds the coordinates of a * alpha^j
+    columns = [(a * field.element([0] * j + [1])).coeffs for j in range(field.degree)]
+    mat = ExactMatrix.from_rows(list(zip(*columns)))
+    assert minimal_polynomial(mat) == minimal_polynomial(a)
+
+
+def test_minimal_polynomial_of_a_matrix_scales_back_its_denominator():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mat = ExactMatrix.from_rows([[half, 0, 0], [0, half, 0], [0, 0, third]])
+    # (x - 1/2)(x - 1/3): the repeated eigenvalue 1/2 enters once
+    poly = minimal_polynomial(mat)
+    assert poly == (Fraction(1, 6), Fraction(-5, 6), 1)
+    assert all(type(c) is Fraction for c in poly)
+    # not diagonalizable: the Jordan block of 1/2 keeps (x - 1/2)^2
+    assert minimal_polynomial(ExactMatrix.from_rows([[half, 1], [0, half]])) == (
+        Fraction(1, 4), -1, 1)
+    assert minimal_polynomial(ExactMatrix.from_rows([[0, 0], [0, 0]])) == (0, 1)
+    with pytest.raises(ValueError):
+        minimal_polynomial(ExactMatrix.from_rows([[1, 2]]))
+
+
 def test_zero_divisor_pivot_raises():
     # over Q[x]/(x^2 - 1) the pivot a - 1 is a zero divisor: (a + 1, 0) is
     # a kernel vector outside the span of (0, 1), so no basis is returned

@@ -13,6 +13,7 @@ from qformlab.characters import (
     gen_bernoulli3,
     kronecker,
     sigma_twisted,
+    sigma_twisted_table,
 )
 
 # printed 8x8 evaluation grid, rows chi_1, chi_-24, chi_-4, chi_24,
@@ -140,3 +141,14 @@ def test_sigma_twisted_multiplicative():
         assert sigma_twisted(2, c, p, m * n) == sigma_twisted(
             2, c, p, m
         ) * sigma_twisted(2, c, p, n)
+
+
+@pytest.mark.parametrize("t", KNOWN_DISCRIMINANTS)
+def test_sigma_twisted_table_matches_single_sums(t):
+    char = chi(t)
+    for psi in map(chi, KNOWN_DISCRIMINANTS):
+        for k in (0, 2):
+            table = sigma_twisted_table(k, char, psi, 400)
+            assert table == [sigma_twisted(k, char, psi, n) for n in range(400)]
+    assert sigma_twisted_table(2, char, char, 0) == []
+    assert sigma_twisted_table(2, char, char, 1) == [0]

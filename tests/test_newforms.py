@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +14,11 @@ from qformlab.newforms import (
     K2,
     K3,
     NEWFORMS,
-    _charpoly,
     _combine,
     _cusp_expansions,
     _hecke_matrix,
     _hecke_report,
     _peel_rational_roots,
-    _squarefree_factor,
-    _synthetic_divide,
     build_newform,
     check_eigenform,
     f1_reference,
@@ -108,18 +106,6 @@ def test_prime_square_recurrence_explicit():
         assert f.qcoeff(25) == f.qcoeff(5) ** 2 - chi(disc)(5) * 25
 
 
-def test_charpoly_diagonal():
-    m = ExactMatrix.from_rows([[2, 0], [0, 3]])
-    assert tuple(_charpoly(m)) == (6, -5, 1)
-
-
-def test_synthetic_divide():
-    assert _synthetic_divide((2, -3, 1), 1) == [-2, 1]
-    assert _synthetic_divide((-8, 0, 0, 1), 2) == [4, 2, 1]
-    with pytest.raises(ValueError):
-        _synthetic_divide((1, 1), 3)
-
-
 def test_peel_rational_roots():
     # (x - 1)^2 (x^2 + 1) = x^4 - 2x^3 + 2x^2 - 2x + 1
     roots, rest = _peel_rational_roots((1, -2, 2, -2, 1))
@@ -128,12 +114,6 @@ def test_peel_rational_roots():
     roots, rest = _peel_rational_roots((0, -4, 0, 1))  # x(x-2)(x+2)
     assert sorted(roots) == [-2, 0, 2]
     assert rest == (1,)
-
-
-def test_squarefree_factor():
-    # (x^2 - 2)^2
-    assert _squarefree_factor((4, 0, -4, 0, 1)) == (-2, 0, 1)
-    assert _squarefree_factor((-2, 0, 1)) == (-2, 0, 1)
 
 
 # SHA-256 of the T_5, T_7, T_11 and T_13 matrices of each cusp space, one
@@ -156,6 +136,28 @@ def test_hecke_matrices_match_recorded_digests(disc):
     assert hashlib.sha256(text.encode()).hexdigest() == HECKE_SHA256[disc]
 
 
+# minimal polynomial of T_p on each cusp space, ascending: the squarefree
+# part of its characteristic polynomial, recorded before the minimal
+# polynomial was read off the matrix
+HECKE_MINPOLYS = {
+    -3: {5: (0, 32, 0, 1), 7: (-12, 4, 1), 11: (0, 32, 0, 1), 13: (-220, 12, 1)},
+    -4: {5: (2, 1), 7: (48, 0, 1), 11: (48, 0, 1), 13: (-2, 1)},
+    -8: {
+        5: (0, 528, 0, 72, 0, 1),
+        7: (0, 528, 0, 120, 0, 1),
+        11: (-112, -6, 1),
+        13: (0, 33792, 0, 384, 0, 1),
+    },
+    -24: {5: (128, 0, -36, 0, 1), 7: (-40, 6, 1), 11: (7200, 0, -172, 0, 1), 13: (0, 112, 0, 1)},
+}
+
+
+@pytest.mark.parametrize("disc", sorted(HECKE_MINPOLYS))
+def test_hecke_minimal_polynomials_are_squarefree_charpoly_parts(disc):
+    for p, poly in HECKE_MINPOLYS[disc].items():
+        assert minimal_polynomial(_hecke_matrix(disc, p)) == poly, p
+
+
 @pytest.mark.parametrize("name", ("f1", "f2", "f5"))
 def test_rederive_field_newforms(name):
     red = rederive_newform(name)
@@ -164,6 +166,8 @@ def test_rederive_field_newforms(name):
     assert red.minpoly_match
     assert red.field_poly == red.printed_minpoly
     assert red.report is not None and red.report.ok
+    # never a float: perfbench digests str(c) of every entry
+    assert all(type(c) is Fraction for c in red.field_poly + red.printed_minpoly)
 
 
 def test_rederive_f5_needs_summed_operator():
@@ -270,3 +274,16 @@ def test_combine_matches_scaled_series_sum(combination):
     got = _combine(scalars, cusp, precision)
     assert got == want
     assert all(got.qcoeff(n) == want.qcoeff(n) for n in range(precision))
+
+
+def test_sums_store_a_cancelled_coefficient_as_int_zero():
+    # f3 term by term through q^250, forward and reversed: equal values
+    # must print the same whatever the order of the summands
+    spec = get_spec("f3")
+    _, cusp = _cusp_expansions(-24, 251)
+    terms = [s.scale(x) for x, s in zip(spec.scalars(), cusp)]
+    forward = reduce(add, terms)
+    backward = reduce(add, reversed(terms))
+    built = build_newform("f3", 251)
+    assert forward == backward == built
+    assert repr(forward.coeffs) == repr(backward.coeffs) == repr(built.coeffs)
