@@ -12,19 +12,21 @@ come first so their congruences prune at the top of the search, and
 every hit is re-checked with ligozat_check.
 
 The module also decides which members lie in the Eisenstein span of
-their space and verifies the classical q-series identities relating
-particular quotients to twisted divisor sums.
+their space, reading each member's coefficients only as far as the test
+needs them from one expansion of its own that bypasses the kernel cache
+of qseries, and verifies the classical q-series identities relating
+particular quotients to twisted divisor sums in integers.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .characters import DirichletChar, chi, sigma_twisted_table
 from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
-from .qseries import GRADE, QSeries, eta_quotient_expansion, eta_unit_coeffs
+from .qseries import GRADE, QSeries, _extend, eta_quotient_expansion
 # _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
 from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, first_deviation, span_solver, sturm_bound
 
@@ -218,11 +220,20 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
 
     A quotient of fractional or negative order at infinity is not in
     the space, and neither is one that vanishes through the Sturm bound.
-    Otherwise the candidate is tested on q^0..q^12, read straight from
-    the integer eta kernel, and a hit is re-verified through q^60 by
-    resuming that expansion; a mismatch anywhere returns None.
+    Otherwise the test reads only as many coefficients as it needs, from
+    one unit expansion that grows in place and never enters the kernel
+    cache of qseries:
+
+    1. a quotient of order below the solver's `reach` is grown to q^(reach-1)
+       and tested against the first kernel row, which rejects most;
+    2. a survivor is grown to the Sturm bound q^12 and tested against
+       every kernel row (`numerators`);
+    3. a hit is grown to q^60 and verified there in integers.
+
+    A mismatch anywhere returns None.
     """
-    val = f.valuation24()
+    key = tuple((d, r) for d, r in f.items() if r)
+    val = sum(d * r for d, r in key)
     if val % GRADE:
         return None
     disc = _as_disc(character_of(f) if char is None else char)
@@ -231,10 +242,17 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     if not 0 <= lead < rows:
         return None
     solver = span_solver(disc, "eisenstein")
-    nums = solver.numerators([0] * lead + eta_unit_coeffs(f.items(), rows - lead))
+    a, g = [1], [0]
+    if lead < solver.reach:
+        _extend(key, a, g, solver.reach - lead)
+        if sum(map(mul, solver.kernel[0][lead:], a)):
+            return None
+    _extend(key, a, g, rows - lead)
+    nums = solver.numerators([0] * lead + a)
     if nums is None:
         return None
-    full = eta_quotient_expansion(f, GRADE * 61)
+    _extend(key, a, g, 61 - lead)
+    full = QSeries(val, a, GRADE * 61)
     if first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
         return None
     return tuple(Fraction(v, solver.den) for v in nums)
@@ -328,20 +346,23 @@ REMARK_IDENTITIES = (
 )
 
 
-def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
-    """Right-hand side of one identity, q^0..q^(precision-1) known.
-
-    Each term reads the twisted divisor sums of all its q-powers from
-    one `sigma_twisted_table`, so acc[n] is the integer sum over terms
-    of c sigma_(2,chi,psi)(n/t).  `scale` and `constant` enter only when
-    the series is built.
-    """
+def _divisor_sums(identity: RemarkIdentity, precision: int) -> list:
+    """S(0..precision-1) with S(n) = sum over terms of c sigma_(2,chi,psi)(n/t)
+    in ints, S(0) = 0: each term reads the twisted divisor sums of all
+    its q-powers from one `sigma_twisted_table`."""
     acc = [0] * precision
     for c, cd, pd, t in identity.terms:
         table = sigma_twisted_table(2, chi(cd), chi(pd), (precision - 1) // t + 1)
         acc[::t] = map(add, acc[::t], map(c.__mul__, table))
+    return acc
+
+
+def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
+    """Right-hand side of one identity, q^0..q^(precision-1) known:
+    `constant`, then `scale` times the integer divisor sums."""
     scale = identity.scale
-    coeffs = [identity.constant] + [scale * v if v else 0 for v in acc[1:]]
+    sums = _divisor_sums(identity, precision)
+    coeffs = [identity.constant] + [scale * v if v else 0 for v in sums[1:]]
     return QSeries(0, coeffs, GRADE * precision)
 
 
@@ -354,12 +375,21 @@ class IdentityReport:
 
 
 def verify_remark_identities(precision: int = 61):
-    """Check every displayed identity coefficient by coefficient."""
+    """Check every displayed identity coefficient by coefficient.
+
+    The check is integer work: the constant term is compared on its own,
+    and past it den * a(n) == num * S(n), for num/den the identity's
+    `scale` and S(n) its integer divisor sums.
+    """
     reports = []
     for ident in REMARK_IDENTITIES:
         lhs = eta_quotient_expansion(parse_eta(ident.label), GRADE * precision)
-        rhs = remark_rhs(ident, precision)
-        mismatch = first_deviation(lhs, (1,), (rhs,), 0, precision)
+        if lhs.qcoeff(0) != ident.constant:
+            mismatch = 0
+        else:
+            sums = QSeries(0, _divisor_sums(ident, precision), GRADE * precision)
+            num, den = ident.scale.numerator, ident.scale.denominator
+            mismatch = first_deviation(lhs, (num,), (sums,), 1, precision, den)
         reports.append(
             IdentityReport(
                 label=ident.label,

@@ -165,7 +165,8 @@ class QSeries:
             if a:
                 for j, b in enumerate(other.coeffs[: n - i]):
                     if b:
-                        out[i + j] = out[i + j] + a * b
+                        # a cancelled coefficient is the int 0 whatever its type
+                        out[i + j] = out[i + j] + a * b or 0
         return QSeries(val, out, trunc)
 
     def inverse(self) -> "QSeries":
@@ -412,6 +413,31 @@ def _grow_blocked(key, a, g, L: int):
     solve(m, stop)
 
 
+def _extend(key, a, g, L: int):
+    """Grow the unit coefficients a and the log-derivative terms g of the
+    quotient `key` in place until a holds a_0..a_(L-1).
+
+    The lists belong to the caller: `eta_unit_coeffs` keeps them in its
+    cache, and a caller that reads one quotient once (the census span
+    test) keeps its own, starting from a = [1], g = [0].  Growth by at
+    most _BLOCK terms sums each new a_n as one dot product over all of a;
+    longer growth goes to `_grow_blocked` first.
+    """
+    if len(a) >= L:
+        return
+    g += _log_derivative(key, len(g), L)
+    if L - len(a) > _BLOCK:
+        _grow_blocked(key, a, g, L)
+    # grev[L-1-k] = g_k, so grev[L-1-n:L-1] is g_n, ..., g_1
+    grev = g[::-1]
+    top = L - 1
+    for n in range(len(a), L):
+        q, rem = divmod(sum(map(mul, a, grev[top - n:top])), n)
+        if rem:
+            raise _inexact(key, n)
+        a.append(q)
+
+
 def eta_unit_coeffs(exponents_by_divisor, L: int):
     """Unit part of an eta quotient in integer-q steps.
 
@@ -422,27 +448,15 @@ def eta_unit_coeffs(exponents_by_divisor, L: int):
     n a_n = sum_{k=1..n} g_k a_(n-k), each division checked to be exact.
     The coefficients and log-derivative terms known so far are cached per
     exponent tuple, so a longer request resumes where the last one
-    stopped and computes only the new terms of g.  Growth by at most
-    _BLOCK terms sums each new a_n as one dot product over all of a;
-    longer growth sums the same recurrence by divide and conquer, with one
+    stopped and computes only the new terms of g (`_extend`).  Growth past
+    _BLOCK terms sums the same recurrence by divide and conquer, with one
     packed integer product per split (`_grow_blocked`), so a cold
     expansion to q^L costs about L^1.6 under CPython's Karatsuba
     multiplication instead of L^2.
     """
     key = tuple((d, r) for d, r in exponents_by_divisor if r)
     a, g = _EULER_POW_CACHE.pop(key, None) or ([1], [0])
-    if len(a) < L:
-        g += _log_derivative(key, len(g), L)
-        if L - len(a) > _BLOCK:
-            _grow_blocked(key, a, g, L)
-        # grev[L-1-k] = g_k, so grev[L-1-n:L-1] is g_n, ..., g_1
-        grev = g[::-1]
-        top = L - 1
-        for n in range(len(a), L):
-            q, rem = divmod(sum(map(mul, a, grev[top - n:top])), n)
-            if rem:
-                raise _inexact(key, n)
-            a.append(q)
+    _extend(key, a, g, L)
     if len(_EULER_POW_CACHE) >= _EULER_POW_CACHE_SIZE:
         del _EULER_POW_CACHE[next(iter(_EULER_POW_CACHE))]
     _EULER_POW_CACHE[key] = (a, g)

@@ -243,6 +243,13 @@ class _SpanSolver:
     over den.  On integer y every test is integer arithmetic, and so is
     the verification of a hit past the sampled rows against the columns,
     which are kept whole for it: den * a(n) == sum num_i col_i(n).
+
+    The kernel rows are reduced from the right, so their last nonzero
+    indices are distinct and increase.  The first row is then the one
+    dependency among the shortest dependent prefix of sampled rows, and
+    `reach` is that prefix's length: a y whose first `reach` entries are
+    known already meets the first row, and most y outside the span fail
+    it there.
     """
 
     def __init__(self, columns, rows):
@@ -250,10 +257,15 @@ class _SpanSolver:
         self.rows = rows
         self.samples = [[c.qcoeff(n) for c in columns] for n in rows]
         inverse, kernel = ExactMatrix.from_rows(self.samples).left_factor()
+        # Gauss-Jordan on the reversed rows: pivots move left to right
+        # there, so the last indices here fall down the reduced rows
+        reduced, _ = ExactMatrix.from_rows([z[::-1] for z in kernel])._reduce()
         self.kernel = []
-        for z in kernel:
+        for z in reversed(reduced):
             m = lcm(*(v.denominator for v in z))
-            self.kernel.append([int(v * m) for v in z])
+            self.kernel.append([int(v * m) for v in reversed(z)])
+        # with no kernel row, no prefix short of all the rows is dependent
+        self.reach = max(i for i, v in enumerate(self.kernel[0]) if v) + 1 if self.kernel else len(rows)
         self.den = lcm(*(v.denominator for row in inverse for v in row))
         self.left_inverse = [[int(v * self.den) for v in row] for row in inverse]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from qformlab import etasearch
+from qformlab import etasearch, qseries, spaces
 from qformlab.arith import UNIQUE, ExactMatrix
 from qformlab.characters import chi, sigma_twisted
 from qformlab.etaq import EtaQuotient, cusp_order, divisors, ligozat_check, parse_eta
@@ -14,7 +15,6 @@ from qformlab.etasearch import (
     DIVISORS24,
     REMARK_IDENTITIES,
     _brute_fiber,
-    _census_all,
     _census_exponents,
     _R_FROM_X,
     _W_FROM_X,
@@ -184,34 +184,103 @@ def test_span_solver_recovers_seeded_combinations(disc):
 
 
 @pytest.mark.slow
-def test_span_solver_matches_reference_solver():
-    # the integer span test against ExactMatrix.solve_linear on the same
-    # sampled rows: every census hit, plus seeded non-hits of each space
+def test_span_solver_matches_reference_solver(census):
+    # the staged span test against the reference path on every census
+    # member: the expansion through q^12 tested by the integer span solver
+    # and by ExactMatrix.solve_linear on the same sampled rows, then a hit
+    # expanded to q^60 and checked with first_deviation; the census must
+    # give every member the same classification and coordinates, and
+    # seeded non-hits of each space are rejected by solve_linear too
     rng = random.Random(24)
     rows = sturm_bound() + 1
     hits = 0
     for disc in SPACE_DISCRIMINANTS:
         solver = span_solver(disc, "eisenstein")
         reference = ExactMatrix.from_rows(solver.samples)
+        staged = {f.exponents: x for f, x in census[disc].eisenstein_expressible}
         misses = []
-        for f in _census_all()[disc]:
+        for f in census[disc].members:
             g = eta_quotient_expansion(f, GRADE * rows)
             y = [g.qcoeff(n) for n in range(rows)]
-            x = solver.solve(y)
-            if x is None:
+            nums = solver.numerators(y)
+            if nums is not None:
+                full = eta_quotient_expansion(f, GRADE * 61)
+                if first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
+                    nums = None
+            if nums is None:
+                assert f.exponents not in staged
                 misses.append(y)
                 continue
             hits += 1
+            assert all(type(v) is int for v in nums)
+            x = tuple(Fraction(v, solver.den) for v in nums)
+            assert staged[f.exponents] == x
             status, sol = reference.solve_linear(y)
             assert status == UNIQUE
             assert x == tuple(sol)
-            nums = solver.numerators(y)
-            assert all(type(v) is int for v in nums)
-            assert tuple(Fraction(v, solver.den) for v in nums) == x
         for y in rng.sample(misses, 150):
             status, _ = reference.solve_linear(y)
             assert status != UNIQUE
     assert hits == sum(EXPECTED[d][1] for d in SPACE_DISCRIMINANTS)
+
+
+@pytest.mark.parametrize(
+    "label, want, lengths",
+    (
+        # order 1, rejected by the first kernel row, which ends at q^5
+        ("eta24[0,3,0,-4,-5,2,16,-6]", None, [5]),
+        # order 6: the first row holds trivially, so q^6..q^12 are read at once
+        ("eta24[-6,12,2,3,-4,-6,-5,10]", None, [7]),
+        # order 1, a hit: read through q^5, then q^12, then q^60
+        ("eta3[-3,9]", (0, 0, 0, 0, 1, 0, 0, 0), [5, 12, 60]),
+    ),
+)
+def test_span_test_reads_the_fewest_coefficients(monkeypatch, label, want, lengths):
+    # the unit-coefficient lengths of every growth of one chi(-3) member
+    grown = []
+    inner = etasearch._extend
+
+    def recorded(key, a, g, L):
+        grown.append(L)
+        return inner(key, a, g, L)
+
+    monkeypatch.setattr(etasearch, "_extend", recorded)
+    assert eisenstein_expressible(parse_eta(label).lifted(24)) == want
+    assert grown == lengths
+
+
+def test_enumerate_space_classifies_through_the_module_function(census, monkeypatch):
+    # perfbench times the census by wrapping eisenstein_expressible where
+    # enumerate_space looks it up, so every member must pass through it
+    seen = []
+    inner = etasearch.eisenstein_expressible
+
+    def counted(f, char=None):
+        seen.append(f)
+        return inner(f, char)
+
+    monkeypatch.setattr(etasearch, "eisenstein_expressible", counted)
+    result = etasearch.enumerate_space(-8)
+    assert seen == list(result.members)
+    assert result == census[-8]
+
+
+@pytest.mark.slow
+def test_census_leaves_only_the_basis_quotients_in_the_kernel_cache(census, monkeypatch):
+    # from empty module caches, the census caches the expansions of the
+    # cusp basis quotients that span_solver reads and of no member
+    monkeypatch.setattr(qseries, "_EULER_POW_CACHE", {})
+    monkeypatch.setattr(spaces, "_SOLVERS", {})
+    monkeypatch.setattr(spaces, "_EXPANSIONS", {})
+    for disc in SPACE_DISCRIMINANTS:
+        assert etasearch.enumerate_space(disc) == census[disc]
+    basis_keys = {
+        tuple((d, r) for d, r in f.items() if r)
+        for disc in SPACE_DISCRIMINANTS
+        for f in spaces.build_basis(disc).cusp
+    }
+    assert len(basis_keys) == 20
+    assert set(qseries._EULER_POW_CACHE) == basis_keys
 
 
 @pytest.mark.parametrize("k", (13, 37, 60))
@@ -290,3 +359,23 @@ def test_verify_remark_identities():
     for rep in reports:
         assert rep.holds, rep
         assert rep.first_mismatch is None
+
+
+def test_verify_remark_identities_names_the_first_mismatch(monkeypatch):
+    # the integer check against the Fraction right-hand side of remark_rhs:
+    # a wrong constant, a wrong scale (denominator 7) and an extra term
+    # each fail at the same first coefficient
+    broken = []
+    for ident in REMARK_IDENTITIES:
+        broken.append(dataclasses.replace(ident, constant=ident.constant + 1))
+        broken.append(dataclasses.replace(ident, scale=ident.scale * Fraction(5, 7)))
+        broken.append(dataclasses.replace(ident, terms=ident.terms + ((1, 1, -4, 7),)))
+    monkeypatch.setattr(etasearch, "REMARK_IDENTITIES", tuple(broken))
+    reports = verify_remark_identities(precision=40)
+    assert len(reports) == len(broken)
+    for ident, rep in zip(broken, reports):
+        lhs = eta_quotient_expansion(parse_eta(ident.label), GRADE * 40)
+        want = first_deviation(lhs, (1,), (remark_rhs(ident, 40),), 0, 40)
+        assert want is not None
+        assert not rep.holds
+        assert rep.first_mismatch == want, ident

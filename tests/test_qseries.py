@@ -206,6 +206,16 @@ def test_add_keeps_the_smaller_truncation():
     assert one + QSeries.from_terms([(2 * GRADE, 5)], 10 * GRADE) == one
 
 
+def test_mul_stores_a_cancelled_coefficient_as_int_zero():
+    # (1 + q)(1 - q) = 1 - q^2: the q^1 term cancels to the int 0, as in
+    # __add__, so repr does not depend on the coefficient type
+    prod = QSeries(0, [1, Fraction(1)], 3 * GRADE) * QSeries(0, [1, Fraction(-1)], 3 * GRADE)
+    assert prod.coeffs == (1, 0, Fraction(-1))
+    assert type(prod.coeffs[1]) is int
+    assert repr(prod.coeffs) == "(1, 0, Fraction(-1, 1))"
+    assert prod == QSeries.from_terms([(0, 1), (2 * GRADE, Fraction(-1))], 3 * GRADE)
+
+
 def test_truncated_matches_a_shorter_expansion():
     f = EtaQuotient(24, (2, 1, 0, 0, 0, 0, 0, -1))  # order -20/24 at infinity
     full = eta_quotient_expansion(f, 40 * GRADE)
@@ -239,6 +249,20 @@ def test_eta_unit_coeffs_returns_a_copy():
     first.append(7)
     assert eta_unit_coeffs(items, 30) == want
     assert eta_unit_coeffs(items, 40)[:30] == want
+
+
+def test_extend_grows_caller_lists_outside_the_cache():
+    # the growth step behind eta_unit_coeffs, on lists the caller owns:
+    # stepwise growth, across a blocked step, gives the cached answer and
+    # leaves the cache alone
+    key = ((1, 3), (2, -2), (6, 5), (24, -1))
+    qseries._EULER_POW_CACHE.clear()
+    a, g = [1], [0]
+    for L in (1, 6, 13, 61, 61 + qseries._BLOCK + 1):
+        qseries._extend(key, a, g, L)
+        assert len(a) == len(g) == L
+    assert not qseries._EULER_POW_CACHE
+    assert a == eta_unit_coeffs(key, len(a))
 
 
 def test_eta_unit_coeffs_cache_is_bounded():

@@ -238,6 +238,31 @@ def test_span_solver_rejects_dependent_columns(disc, part):
         _SpanSolver(solver.columns + solver.columns[-1:], solver.rows)
 
 
+# length of the shortest dependent prefix of the Eisenstein samples:
+# their prefix ranks first drop at q^5 for chi(-3), chi(-4), at q^4 else
+EISENSTEIN_REACH = {-3: 6, -4: 6, -8: 5, -24: 5}
+
+
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
+def test_span_solver_kernel_rows_end_in_increasing_order(disc, part):
+    solver = span_solver(disc, part)
+    ends = []
+    for z in solver.kernel:
+        assert all(type(v) is int for v in z)
+        assert all(sum(a * b for a, b in zip(z, col)) == 0 for col in zip(*solver.samples))
+        ends.append(max(i for i, v in enumerate(z) if v))
+    assert ends == sorted(set(ends))
+    assert ExactMatrix.from_rows(solver.kernel).rank() == len(solver.kernel)
+    # the first row is the dependency of the shortest dependent prefix
+    reach = solver.reach
+    assert reach == ends[0] + 1
+    assert ExactMatrix.from_rows(solver.samples[: reach - 1]).rank() == reach - 1
+    assert ExactMatrix.from_rows(solver.samples[:reach]).rank() == reach - 1
+    if part == "eisenstein":
+        assert reach == EISENSTEIN_REACH[disc]
+
+
 def test_sturm_solves_factor_each_space_once(monkeypatch, capsys):
     # no solve_in_basis or _hecke_matrix call eliminates a matrix of its
     # own, and each (space, column set) is factored once from cold
