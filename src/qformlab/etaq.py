@@ -251,19 +251,21 @@ def ligozat_check(f: EtaQuotient) -> ModularityReport:
     Checks the two weight-24 congruences at infinity and zero, the
     nonnegativity of every cusp order, and positive integral weight;
     cuspidality additionally needs every cusp order strictly positive.
+    The two congruences read the cusp totals: at c = N the weights are
+    delta N over 24 N, at c = 1 they are N / delta over 24, so 24 divides
+    sum delta r_delta (resp. sum (N / delta) r_delta) exactly when the
+    total is a multiple of its denominator.
     """
     n = f.level
     r = f.exponents
-    divs = divisors(n)
-    at_inf = sum(map(mul, divs, r))
-    at_zero = sum((n // d) * x for d, x in zip(divs, r))
-    l1 = at_inf % 24 == 0
-    l2 = at_zero % 24 == 0
     totals = [
         (c, sum(map(mul, weights, r)), den)
         for c, (weights, den) in _order_weights(n).items()
     ]
-    l3 = all(t >= 0 for _, t, _ in totals)
+    l1 = totals[-1][1] % totals[-1][2] == 0  # c = N, the cusp at infinity
+    l2 = totals[0][1] % totals[0][2] == 0  # c = 1, the cusp at zero
+    least = min(t for _, t, _ in totals)
+    l3 = least >= 0
     twice_k = sum(r)
     l4 = twice_k % 2 == 0 and twice_k > 0
     holo = l1 and l2 and l3 and l4
@@ -282,5 +284,5 @@ def ligozat_check(f: EtaQuotient) -> ModularityReport:
         cusp_totals=tuple(totals),
         character=char,
         is_holomorphic=holo,
-        is_cuspidal=holo and all(t > 0 for _, t, _ in totals),
+        is_cuspidal=holo and least > 0,
     )

@@ -125,6 +125,28 @@ def _triangular_basis():
 
 _W_FROM_X, _R_FROM_X = _triangular_basis()
 
+# sum(r) = s . x with s the column sums of U; the coordinates after
+# _SUM_LEVEL all have coefficients divisible by _SUM_MOD, so weight 3
+# (sum(r) = 6) already fixes x at that level modulo _SUM_MOD
+_SUM_COEFFS = tuple(map(sum, zip(*_R_FROM_X)))  # (1, -5, 3, -3, 1, 0, 0, 2)
+_SUM_LEVEL = max(
+    j for j in range(len(DIVISORS24) - 1)
+    if _SUM_COEFFS[j] % gcd(*_SUM_COEFFS[j + 1:])
+)
+_SUM_MOD = gcd(*_SUM_COEFFS[_SUM_LEVEL + 1:])
+if _SUM_LEVEL < 2 or _SUM_MOD < 2:
+    raise AssertionError("weight congruence must fall below the mod-24 rows")
+
+
+def _progression(base, coeff, mod, lo):
+    """(first x >= lo, stride) of the x with base + coeff x = 0 mod `mod`, or None."""
+    g = gcd(coeff, mod)
+    if base % g:
+        return None
+    stride = mod // g
+    first = (-(base // g) * pow(coeff // g, -1, stride)) % stride
+    return lo + (first - lo) % stride, stride
+
 
 def _census_exponents():
     """All exponent tuples (divisor order) passing the integer conditions.
@@ -132,9 +154,11 @@ def _census_exponents():
     Walks x coordinate by coordinate: w_j = sum_k H[j][k] x_k must stay
     in [0, budget] where the budget is 288 minus the orders already
     spent, rows 0 and 1 additionally need 24 | w_j, and the last row is
-    forced to spend the budget exactly.  The partial sums w = H x and
-    r = U x over the coordinates chosen so far travel down the
-    recursion, so each step adds one column of H and of U.
+    forced to spend the budget exactly.  The budget is spent exactly when
+    sum(r) = 6, so level _SUM_LEVEL walks only the x that keep that
+    possible.  The partial sums w = H x and r = U x over the coordinates
+    chosen so far travel down the recursion, so each step adds one column
+    of H and of U.
     """
     H, U = _W_FROM_X, _R_FROM_X
     n = len(DIVISORS24)
@@ -149,15 +173,15 @@ def _census_exponents():
         budget = 288 - used
         lo = -(base // diag)
         hi = (budget - base) // diag
-        stride = 1
         if j < 2:
-            g = gcd(diag, 24)
-            if base % g:
-                return
-            stride = 24 // g
-            if stride > 1:
-                first = (-(base // g) * pow(diag // g, -1, stride)) % stride
-                lo += (first - lo) % stride
+            start = _progression(base, diag, 24, lo)
+        elif j == _SUM_LEVEL:
+            start = _progression(sum(r) - 6, _SUM_COEFFS[j], _SUM_MOD, lo)
+        else:
+            start = lo, 1
+        if start is None:
+            return
+        lo, stride = start
         h, u = h_cols[j], u_cols[j]
         if j == last - 1:
             # x_last is forced: w_last must equal what is left of the budget

@@ -117,8 +117,12 @@ class QuadForm:
 def rep_counts_bruteforce(form, nmax: int):
     """counts[n] = #{x in Z^6 : sum c_i x_i^2 = n} for 0 <= n <= nmax.
 
-    Plain nested enumeration over all six signed coordinates with budget
-    pruning; deliberately independent of every series identity above.
+    Plain nested enumeration with budget pruning; deliberately independent
+    of every series identity above.  It walks nonnegative coordinates
+    only and counts each point once for all its sign images: x_i and -x_i
+    give the same value, so the weight w carried down the recursion stays
+    at x = 0 and doubles at every x > 0, and a point with k nonzero
+    coordinates adds 2^k.
     """
     if isinstance(form, QuadForm):
         cs = form.coefficients
@@ -126,21 +130,26 @@ def rep_counts_bruteforce(form, nmax: int):
         cs = QuadForm(tuple(form)).coefficients
     counts = [0] * (nmax + 1)
     clast = cs[5]
+    # clast * y^2 for y = 1, 2, ... within the budget
+    tail = [clast * y * y for y in range(1, isqrt(nmax // clast) + 1)]
 
-    def rec(i, acc):
+    def rec(i, acc, w):
         c = cs[i]
         m = isqrt((nmax - acc) // c)
         if i == 4:
-            for x in range(-m, m + 1):
+            for x in range(m + 1):
                 partial = acc + c * x * x
-                top = isqrt((nmax - partial) // clast)
-                for y in range(-top, top + 1):
-                    counts[partial + clast * y * y] += 1
+                wx = 2 * w if x else w
+                counts[partial] += wx  # y = 0
+                wy = 2 * wx  # y and -y
+                for s in tail[: isqrt((nmax - partial) // clast)]:
+                    counts[partial + s] += wy
         else:
-            for x in range(-m, m + 1):
-                rec(i + 1, acc + c * x * x)
+            rec(i + 1, acc, w)
+            for x in range(1, m + 1):
+                rec(i + 1, acc + c * x * x, 2 * w)
 
-    rec(0, 0)
+    rec(0, 0, 1)
     return counts
 
 

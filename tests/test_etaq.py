@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -258,6 +259,30 @@ def test_ligozat_check_rejects_negative_order():
     assert rep.cond_24_divides_at_zero
     assert not rep.cond_nonnegative_cusp_orders
     assert not rep.is_holomorphic
+
+
+@st.composite
+def congruence_quotients(draw):
+    """Level 4, 6, 8 or 24; r_1 and r_N each sometimes moved to meet one congruence."""
+    level = draw(st.sampled_from((4, 6, 8, 24)))
+    divs = divisors(level)
+    exps = draw(st.lists(st.integers(min_value=-30, max_value=30), min_size=len(divs), max_size=len(divs)))
+    if draw(st.booleans()):  # 24 | sum delta r_delta
+        exps[0] -= sum(map(mul, divs, exps)) % 24
+    if draw(st.booleans()):  # 24 | sum (N / delta) r_delta
+        exps[-1] -= sum((level // d) * r for d, r in zip(divs, exps)) % 24
+    return EtaQuotient(level, exps)
+
+
+@given(congruence_quotients())
+def test_ligozat_congruences_match_the_direct_sums(f):
+    n = f.level
+    rep = ligozat_check(f)
+    assert rep.cond_24_divides_at_infinity == (sum(d * r for d, r in f.items()) % 24 == 0)
+    assert rep.cond_24_divides_at_zero == (sum((n // d) * r for d, r in f.items()) % 24 == 0)
+    orders = [cusp_order(f, c) for c in divisors(n)]
+    assert rep.cond_nonnegative_cusp_orders == all(v >= 0 for v in orders)
+    assert rep.is_cuspidal == (rep.is_holomorphic and all(v > 0 for v in orders))
 
 
 def test_ligozat_check_eisenstein_like_member():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qformlab import etasearch, qseries, spaces
 from qformlab.arith import UNIQUE, ExactMatrix
@@ -17,7 +18,11 @@ from qformlab.etasearch import (
     _brute_fiber,
     _census_exponents,
     _R_FROM_X,
+    _SUM_COEFFS,
+    _SUM_LEVEL,
+    _SUM_MOD,
     _W_FROM_X,
+    _progression,
     census_counts,
     census_crosscheck,
     eisenstein_expressible,
@@ -62,6 +67,30 @@ def test_lattice_basis_triangular():
         for j in range(n):
             got = sum(B_MATRIX[perm[i]][k] * _R_FROM_X[k][j] for k in range(n))
             assert got == _W_FROM_X[i][j]
+
+
+def test_weight_congruence_is_decided_at_level_4():
+    # sum(r) = s . x with s the column sums of U: the coordinates after
+    # level 4 are even, so weight 3 fixes the parity of x_4
+    assert _SUM_COEFFS == tuple(sum(col) for col in zip(*_R_FROM_X)) == (1, -5, 3, -3, 1, 0, 0, 2)
+    assert (_SUM_LEVEL, _SUM_MOD) == (4, 2)
+
+
+@given(
+    base=st.integers(min_value=-500, max_value=500),
+    coeff=st.integers(min_value=-60, max_value=60).filter(bool),
+    mod=st.sampled_from((2, 3, 24)),
+    lo=st.integers(min_value=-50, max_value=50),
+)
+def test_progression_lists_the_solutions_of_its_congruence(base, coeff, mod, lo):
+    window = range(lo, lo + 3 * mod)
+    solutions = [x for x in window if (base + coeff * x) % mod == 0]
+    start = _progression(base, coeff, mod, lo)
+    if start is None:
+        assert solutions == []
+    else:
+        first, stride = start
+        assert solutions == list(range(first, window.stop, stride))
 
 
 def test_census_exponent_invariants():

@@ -5,8 +5,10 @@ Hecke checks were folded into one core; the eta expansions of fractional
 order (1/8, 1/6, 121/24) and the scale-2 Eisenstein series were recorded
 before `QSeries` changed from a dense grade-24 grid to one coefficient
 per q-step; the chi(-4) rep-count cases (form 1,1,1,1,1,1) were
-recorded before the basis and cusp expansion caches became one.  Any
-change to a printed number, label or layout shows up here as a digest
+recorded before the basis and cusp expansion caches became one; the
+default-mode (oracle and formula) and --oracle rep-count cases were
+recorded before the brute-force oracle walked sign orbits.  Any change
+to a printed number, label or layout shows up here as a digest
 mismatch.  Each case runs in-process, so the whole file takes about
 three seconds.
 """
@@ -61,6 +63,14 @@ GOLDEN = (
     (('rep-count', '--form', '1,1,1,3,3,6', '--n', '200', '--formula', '--json'), 0, '3a23b3015a56526244ef6f33fed1e0b1b248db902162ec3861e481e6be9aa0e1'),
     (('rep-count', '--form', '1,1,1,1,1,1', '--n', '400', '--formula'), 0, '3da32d25a148ead9db5025f61acde5d7e570cfc9ea051b7e404b5654ec55b832'),
     (('rep-count', '--form', '1,1,1,1,1,1', '--n', '400', '--formula', '--json'), 0, '23c496e854ae3e4a3277f977397b7233fe3a7fd5a8b785d155d168aed10e8554'),
+    (('rep-count', '--form', '1,1,1,1,2,6', '--n', '300'), 0, '93af50c86affe7c5006cc5f727faa138fec41676afea4193ce6e33b8373520bd'),
+    (('rep-count', '--form', '1,1,1,1,2,6', '--n', '300', '--json'), 0, '80222187f7e8cd4a2f94e0b9e3a6fa8c4c61f65db79a2aafd85ed963df3912d9'),
+    (('rep-count', '--form', '1,1,2,2,3,6', '--n', '400'), 0, '56e619c60ab7b6507c3f9358b3d67644a421e8c6a22875155d3614074d16f3a7'),
+    (('rep-count', '--form', '1,1,2,2,3,6', '--n', '400', '--json'), 0, 'b8bf8171f7fecb9013ac7f46802aeb41afaf04777215ff928ca58e41fdeab238'),
+    (('rep-count', '--form', '1,1,1,3,3,6', '--n', '200', '--oracle'), 0, '33cff7cee901fb30b011d006683b660b1811682d491c4306bbf04196225c9bde'),
+    (('rep-count', '--form', '1,1,1,3,3,6', '--n', '200', '--oracle', '--json'), 0, '5abbeb369c3cc4050869a2d7c499eaf379b533945f892269a17c4ac43ab2b579'),
+    (('rep-count', '--form', '1,1,1,1,1,1', '--n', '100', '--oracle'), 0, '70b266069d56787ee0c34ffbbd6d68f4c2d4a89f74232fa4b99e70b15c205dde'),
+    (('rep-count', '--form', '1,1,1,1,1,1', '--n', '100', '--oracle', '--json'), 0, '01f4567faf3490e2a0d45d085b4c3d58cfbdc63c91a8a08f7a2837cb20725633'),
 )
 
 

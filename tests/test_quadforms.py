@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qformlab.etaq import ligozat_check
 from qformlab.quadforms import (
@@ -98,6 +100,50 @@ def test_bruteforce_respects_coefficients():
     assert rep_count_bruteforce(form, 3) == 6  # x, y both +-1, or z = +-1
     with pytest.raises(ValueError):
         rep_count_bruteforce(form, -1)
+
+
+def _all_signs_counts(form, nmax):
+    """Reference oracle: every signed coordinate of Z^6 walked one by one."""
+    cs = QuadForm(tuple(form)).coefficients
+    counts = [0] * (nmax + 1)
+    clast = cs[5]
+
+    def rec(i, acc):
+        c = cs[i]
+        m = isqrt((nmax - acc) // c)
+        if i == 4:
+            for x in range(-m, m + 1):
+                partial = acc + c * x * x
+                top = isqrt((nmax - partial) // clast)
+                for y in range(-top, top + 1):
+                    counts[partial + clast * y * y] += 1
+        else:
+            for x in range(-m, m + 1):
+                rec(i + 1, acc + c * x * x)
+
+    rec(0, 0)
+    return counts
+
+
+def test_sign_orbits_match_the_all_signs_walk():
+    for exps in all_forms():
+        counts = rep_counts_bruteforce(exps, 16)
+        reference = _all_signs_counts(exps, 16)
+        assert sum(counts) == sum(reference), exps
+        assert counts == reference, exps
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    coeffs=st.lists(st.sampled_from((1, 2, 3, 6)), min_size=6, max_size=6),
+    nmax=st.integers(min_value=0, max_value=40),
+)
+def test_sign_orbits_match_the_all_signs_walk_drawn(coeffs, nmax):
+    form = QuadForm.from_coefficients(coeffs)
+    counts = rep_counts_bruteforce(form, nmax)
+    reference = _all_signs_counts(form.exponents, nmax)
+    assert sum(counts) == sum(reference)
+    assert counts == reference
 
 
 def test_genfun_equals_bruteforce():
