@@ -111,38 +111,15 @@ def character_table():
 
 @lru_cache(maxsize=None)
 def gen_bernoulli3(char: DirichletChar) -> Fraction:
-    """Generalized Bernoulli number B_{3,chi}.
+    """Generalized Bernoulli number B_{3,chi} = L^2 sum_{a=1..L} chi(a) B_3(a/L).
 
-    Extracted as 6 [x^3] sum_{a=1..L} chi(a) x e^{ax} / (e^{Lx} - 1) by
-    exact series expansion; the denominator is divided out as the unit
-    series (e^{Lx} - 1)/x.
+    L is the conductor and B_3(x) = x^3 - 3x^2/2 + x/2 the Bernoulli
+    polynomial, so L^2 B_3(a/L) = (2a^3 - 3a^2 L + a L^2) / (2L) and the
+    sum is one integer over 2L.  It vanishes for an even chi.
     """
     L = char.conductor
-    # numerator / x = sum_a chi(a) e^{ax}, to x^3
-    PREC = 4
-    num = [Fraction(0)] * PREC
-    for a in range(1, L + 1):
-        ca = char(a)
-        if ca:
-            fact = 1
-            for j in range(PREC):
-                if j:
-                    fact *= j
-                num[j] += Fraction(ca * a**j, fact)
-    # (e^{Lx} - 1)/x = L + L^2 x/2! + L^3 x^2/3! + ...
-    fact = 1
-    den = []
-    for j in range(1, PREC + 1):
-        fact *= j
-        den.append(Fraction(L**j, fact))
-    # series division num/den to x^3; den[0] = L != 0
-    quot = [Fraction(0)] * PREC
-    for j in range(PREC):
-        acc = num[j]
-        for i in range(j):
-            acc -= quot[i] * den[j - i]
-        quot[j] = acc / den[0]
-    return 6 * quot[3]
+    total = sum(char(a) * (2 * a**3 - 3 * a * a * L + a * L * L) for a in range(1, L + 1))
+    return Fraction(total, 2 * L)
 
 
 def sigma_twisted(k: int, char: DirichletChar, psi: DirichletChar, n) -> int:

@@ -246,12 +246,14 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     the space, and neither is one that vanishes through the Sturm bound.
     Otherwise the test reads only as many coefficients as it needs, from
     one unit expansion that grows in place and never enters the kernel
-    cache of qseries:
+    cache of qseries, and solves it in the one solver of its space:
 
-    1. a quotient of order below the solver's `reach` is grown to q^(reach-1)
-       and tested against the first kernel row, which rejects most;
-    2. a survivor is grown to the Sturm bound q^12 and tested against
-       every kernel row (`numerators`);
+    1. a quotient of order below the solver's `reach` is grown to
+       q^(reach-1) and tested against `first`, the first row of the
+       Eisenstein columns' left kernel, which rejects most;
+    2. a survivor is grown to the Sturm bound q^12; it is a hit when it
+       lies in the span of the whole basis and all its cusp numerators
+       are zero (`eisenstein_numerators`);
     3. a hit is grown to q^60 and verified there in integers.
 
     A mismatch anywhere returns None.
@@ -265,14 +267,14 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     lead = val // GRADE
     if not 0 <= lead < rows:
         return None
-    solver = span_solver(disc, "eisenstein")
+    solver = span_solver(disc)
     a, g = [1], [0]
     if lead < solver.reach:
         _extend(key, a, g, solver.reach - lead)
-        if sum(map(mul, solver.kernel[0][lead:], a)):
+        if sum(map(mul, solver.first[lead:], a)):
             return None
     _extend(key, a, g, rows - lead)
-    nums = solver.numerators([0] * lead + a)
+    nums = solver.eisenstein_numerators([0] * lead + a)
     if nums is None:
         return None
     _extend(key, a, g, 61 - lead)

@@ -24,12 +24,11 @@ from .arith import (
     NumberField,
     NumberFieldElement,
     UNIQUE,
-    _poly_divmod,
     minimal_polynomial,
 )
 from .characters import chi
 from .etaq import divisors
-from .qseries import GRADE, QSeries, _steps
+from .qseries import GRADE, QSeries
 from .spaces import basis_expansions, build_basis, span_solver, sturm_bound
 
 __all__ = [
@@ -128,20 +127,21 @@ def _cusp_expansions(disc: int, precision: int):
 def _combine(scalars, cusp, precision: int) -> QSeries:
     """sum(scalars * cusp series), q^0..q^(precision-1) known.
 
-    The cusp series have integer coefficients, so the sum is taken one
-    generator power at a time.  Scalar i is split into its rational
-    coordinates x_ik on 1, a, ..., a^(d-1); a rational scalar is one
-    coordinate, and a combination of rational scalars has d = 1.  For
-    each power k the cusp series are summed in ints with weights
-    x_ik * den_k, den_k the least common denominator of the coordinates
-    at k.  The coefficient at q^n is built once, from the coordinates
-    S_k[n] / den_k of those sums: a field element, or a Fraction when
-    d = 1, and the int 0 where it vanishes.  No field product runs; none
-    is needed, since every scalar is already reduced.
+    The cusp series have integer coefficients at integer powers of q and
+    are known at least through q^(precision-1); each is read by index,
+    coefficient n at q^n.  The sum is taken one generator power at a
+    time.  Scalar i is split into its rational coordinates x_ik on 1, a,
+    ..., a^(d-1); a rational scalar is one coordinate, and a combination
+    of rational scalars has d = 1.  For each power k the cusp series are
+    summed in ints with weights x_ik * den_k, den_k the least common
+    denominator of the coordinates at k.  The coefficient at q^n is built
+    once, from the coordinates S_k[n] / den_k of those sums: a field
+    element, or a Fraction when d = 1, and the int 0 where it vanishes.
+    No field product runs; none is needed, since every scalar is already
+    reduced.
     """
     used = [(x, s) for x, s in zip(scalars, cusp) if x]
-    trunc = min([GRADE * precision] + [s.trunc for _, s in used])
-    used = [(x, s) for x, s in used if s.val < trunc]
+    trunc = GRADE * precision
     if not used:
         return QSeries.zero(trunc)
     field = next((x.field for x, _ in used if isinstance(x, NumberFieldElement)), None)
@@ -151,19 +151,15 @@ def _combine(scalars, cusp, precision: int) -> QSeries:
         for x, _ in used
     ]
     dens = [lcm(*(c[k].denominator for c in coords)) for k in range(d)]
-    lo = min(s.val for _, s in used)
-    size = _steps(lo, trunc)
-    sums = [[0] * size for _ in range(d)]
+    sums = [[0] * precision for _ in range(d)]
     for xs, (_, s) in zip(coords, used):
-        off, r = divmod(s.val - lo, GRADE)
-        if r:
-            raise ValueError("cannot add series at exponents %d and %d mod %d" % (lo, s.val, GRADE))
-        terms = [(j, c) for j, c in enumerate(s.coeffs[: size - off], off) if c]
+        lo = s.val // GRADE
+        terms = [(n, c) for n, c in enumerate(s.coeffs[: max(0, precision - lo)], lo) if c]
         for x, den, row in zip(xs, dens, sums):
             w = x.numerator * (den // x.denominator)
             if w:
-                for j, c in terms:
-                    row[j] += w * c
+                for n, c in terms:
+                    row[n] += w * c
     if field is None:
         (row,) = sums
         (den,) = dens
@@ -173,7 +169,7 @@ def _combine(scalars, cusp, precision: int) -> QSeries:
             NumberFieldElement(field, tuple(map(Fraction, col, dens))) if any(col) else 0
             for col in zip(*sums)
         ]
-    return QSeries(lo, out, trunc)
+    return QSeries(0, out, trunc)
 
 
 def build_newform(name: str, precision: int = 120) -> QSeries:
@@ -275,14 +271,15 @@ def _hecke_report(name: str, a, char, precision: int) -> EigenformReport:
 def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
     """Matrix of T_p on the cusp space, columns in cusp-basis coordinates.
 
-    Every image is solved on q^1..q^12 by the cusp solver of the space,
-    which is factored once and serves every p.
+    Every image is solved on q^0..q^12 (its q^0 entry is 0) by the one
+    solver of the space, which is factored once and serves every p and
+    every other reader; a nonzero Eisenstein coordinate is a ValueError.
     """
     need = p * sturm_bound() + 1
     basis, cusp = _cusp_expansions(disc, need)
     char = basis.character
     nc = len(cusp)
-    solver = span_solver(disc, "cusp")
+    solver = span_solver(disc)
     columns = []
     for series in cusp:
         image = []
@@ -292,9 +289,9 @@ def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
                 b = b + char(p) * p * p * series.qcoeff(n // p)
             image.append(b)
         sol = solver.solve(image)
-        if sol is None:
+        if sol is None or any(sol[: solver.ne]):
             raise ValueError("Hecke image left the cusp span (%s)" % INCONSISTENT)
-        columns.append(sol)
+        columns.append(sol[solver.ne:])
     return ExactMatrix.from_rows(
         [[columns[j][i] for j in range(nc)] for i in range(nc)]
     )
@@ -315,9 +312,11 @@ def _peel_rational_roots(poly):
         hit = next((r for r in cand if sum(c * r**i for i, c in enumerate(ints)) == 0), None)
         if hit is None:
             break
-        # a Fraction divisor keeps _poly_divmod exact (1 / int lead is a float)
-        quot, _ = _poly_divmod(ints, (Fraction(-hit), Fraction(1)))
-        ints = [int(c) for c in quot]
+        # synthetic division by x - hit, from the top; the remainder is 0
+        quot = [ints[-1]]
+        for c in ints[-2:0:-1]:
+            quot.append(c + hit * quot[-1])
+        ints = quot[::-1]
         roots.append(hit)
     return roots, tuple(Fraction(c) for c in ints)
 
@@ -406,7 +405,8 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
         if not lead:
             last_note = "eigenvector for %s has no q^1 term" % label
             continue
-        combo = tuple(field.embed(x) / lead for x in vec)
+        scale = field.embed(lead).inverse()
+        combo = tuple(scale * x for x in vec)
         basis, cusp = _cusp_expansions(spec.discriminant, precision)
         g = _combine(combo, cusp, precision)
         a = [g.qcoeff(n) for n in range(precision)]

@@ -231,43 +231,55 @@ def first_deviation(f: QSeries, coords, expansions, start: int, stop: int, den=1
     return None
 
 
+def _integer_row(z):
+    """A rational row scaled by the lcm of its denominators to ints."""
+    m = lcm(*(v.denominator for v in z))
+    return [int(v * m) for v in z]
+
+
 class _SpanSolver:
-    """Exact membership test for the span of fixed series columns.
+    """Exact membership test for the span of a space's basis columns.
 
-    With A the matrix of the columns on the sampled q-exponents `rows`,
-    one Gauss-Jordan pass (ExactMatrix.left_factor) gives a basis of the
-    left kernel {z : z A = 0}, each row scaled to integers, and a left
-    inverse L (L A = I) kept as an integer matrix over one denominator
-    `den`.  A candidate y lies in the span exactly when every kernel row
-    is orthogonal to it; its coordinates are then the numerators L y
-    over den.  On integer y every test is integer arithmetic, and so is
-    the verification of a hit past the sampled rows against the columns,
-    which are kept whole for it: den * a(n) == sum num_i col_i(n).
+    With A the matrix of the columns (Eisenstein first, `ne` of them) on
+    q^0..q^12, one Gauss-Jordan pass (ExactMatrix.left_factor) gives a
+    basis K of the left kernel {z : z A = 0}, each row scaled to integers,
+    and a left inverse L (L A = I) kept as an integer matrix over one
+    denominator `den`.  A candidate y lies in the span exactly when every
+    kernel row is orthogonal to it; its coordinates are then the
+    numerators L y over den.  On integer y every test is integer
+    arithmetic, and so is the verification of a hit past the sampled rows
+    against the columns, which are kept whole for it through q^60:
+    den * a(n) == sum num_i col_i(n).
 
-    The kernel rows are reduced from the right, so their last nonzero
-    indices are distinct and increase.  The first row is then the one
-    dependency among the shortest dependent prefix of sampled rows, and
-    `reach` is that prefix's length: a y whose first `reach` entries are
-    known already meets the first row, and most y outside the span fail
-    it there.
+    The same factorization answers for the column sets inside the basis.
+    y is in the Eisenstein span exactly when it is in the span and its
+    cusp numerators vanish, and in the cusp span when its Eisenstein
+    numerators vanish.  The left kernel of the Eisenstein columns alone
+    is spanned by K and the rows of L at the cusp columns
+    (`eisenstein_kernel`); reduced from the right, its rows end at
+    distinct, increasing indices, and its first row `first` is the one
+    dependency among the shortest dependent prefix of sampled rows of
+    the Eisenstein columns.  `reach` is that
+    prefix's length: a y whose first `reach` entries are known already
+    meets `first`, and most y outside the Eisenstein span fail it there.
     """
 
-    def __init__(self, columns, rows):
+    def __init__(self, columns, ne):
         self.columns = columns
-        self.rows = rows
-        self.samples = [[c.qcoeff(n) for c in columns] for n in rows]
+        self.ne = ne
+        self.rows = range(sturm_bound() + 1)
+        self.samples = [[c.qcoeff(n) for c in columns] for n in self.rows]
         inverse, kernel = ExactMatrix.from_rows(self.samples).left_factor()
-        # Gauss-Jordan on the reversed rows: pivots move left to right
-        # there, so the last indices here fall down the reduced rows
-        reduced, _ = ExactMatrix.from_rows([z[::-1] for z in kernel])._reduce()
-        self.kernel = []
-        for z in reversed(reduced):
-            m = lcm(*(v.denominator for v in z))
-            self.kernel.append([int(v * m) for v in reversed(z)])
-        # with no kernel row, no prefix short of all the rows is dependent
-        self.reach = max(i for i, v in enumerate(self.kernel[0]) if v) + 1 if self.kernel else len(rows)
+        self.kernel = [_integer_row(z) for z in kernel]
         self.den = lcm(*(v.denominator for row in inverse for v in row))
         self.left_inverse = [[int(v * self.den) for v in row] for row in inverse]
+        # cusp rows first: most candidates off the Eisenstein span fail one
+        self.eisenstein_kernel = self.left_inverse[ne:] + self.kernel
+        # Gauss-Jordan on the reversed rows: pivots move left to right
+        # there, so the last row ends first here
+        reduced, _ = ExactMatrix.from_rows([z[::-1] for z in self.eisenstein_kernel])._reduce()
+        self.first = _integer_row(reduced[-1][::-1])
+        self.reach = max(i for i, v in enumerate(self.first) if v) + 1
 
     def numerators(self, y):
         """Numerators over `den` of the x with A x = y on all sampled
@@ -277,6 +289,14 @@ class _SpanSolver:
                 return None
         return [sum(map(mul, row, y)) for row in self.left_inverse]
 
+    def eisenstein_numerators(self, y):
+        """Numerators over `den` of the Eisenstein coordinates of y, or
+        None unless y is in the span with every cusp numerator zero."""
+        for z in self.eisenstein_kernel:
+            if sum(map(mul, z, y)):
+                return None
+        return [sum(map(mul, row, y)) for row in self.left_inverse[: self.ne]]
+
     def solve(self, y):
         """Coordinates x with A x = y on all sampled rows, or None."""
         nums = self.numerators(y)
@@ -285,31 +305,19 @@ class _SpanSolver:
         return tuple(Fraction(v, self.den) for v in nums)
 
 
-_SOLVERS: dict = {}  # (discriminant, part) -> _SpanSolver
+_SOLVERS: dict = {}  # discriminant -> _SpanSolver
 
 
-def span_solver(disc: int, part: str) -> _SpanSolver:
-    """The solver of one column set of a space, built on first use.
+def span_solver(disc: int) -> _SpanSolver:
+    """The solver of a space's whole basis, built on first use.
 
-    part "basis" is every basis element and "eisenstein" the Eisenstein
-    elements, both sampled on q^0..q^12; "cusp" is the cusp elements on
-    q^1..q^12, where they all vanish at q^0.
+    Its columns are kept through q^60: census hits are verified that
+    far, and derive_formula solves at this precision by default.
     """
-    got = _SOLVERS.get((disc, part))
+    got = _SOLVERS.get(disc)
     if got is None:
         basis = build_basis(disc)
-        rows = sturm_bound() + 1
-        if part == "cusp":
-            cusp = basis_expansions(basis, rows, "cusp")[len(basis.eisenstein):]
-            got = _SpanSolver(tuple(e.truncated(GRADE * rows) for e in cusp), range(1, rows))
-        else:
-            # through q^60: census hits are verified that far, and
-            # derive_formula solves at this precision by default
-            columns = basis_expansions(basis, 61)
-            if part == "eisenstein":
-                columns = columns[: len(basis.eisenstein)]
-            got = _SpanSolver(columns, range(rows))
-        _SOLVERS[disc, part] = got
+        got = _SOLVERS[disc] = _SpanSolver(basis_expansions(basis, 61), len(basis.eisenstein))
     return got
 
 
@@ -327,7 +335,7 @@ def solve_in_basis(f: QSeries, basis: SpaceBasis):
     if prec < rows:
         raise ValueError("need at least %d known coefficients, got %d" % (rows, prec))
     expansions = basis_expansions(basis, prec)
-    solver = span_solver(basis.character.discriminant, "basis")
+    solver = span_solver(basis.character.discriminant)
     nums = solver.numerators([f.qcoeff(n) for n in range(rows)])
     if nums is None:
         raise ValueError("no unique representation in this basis (%s)" % INCONSISTENT)

@@ -92,10 +92,12 @@ def test_unsupported_discriminant():
 
 
 def test_bernoulli_values():
-    assert gen_bernoulli3(chi(-3)) == Fraction(2, 3)
-    assert gen_bernoulli3(chi(-4)) == Fraction(3, 2)
-    assert gen_bernoulli3(chi(-8)) == Fraction(9)
-    assert gen_bernoulli3(chi(-24)) == Fraction(138)
+    # every supported character; B_{3,chi} vanishes for the even ones
+    want = {1: 0, -3: Fraction(2, 3), -4: Fraction(3, 2), 8: 0, -8: 9, 12: 0, 24: 0, -24: 138}
+    assert sorted(want) == sorted(KNOWN_DISCRIMINANTS)
+    for t, b in want.items():
+        assert gen_bernoulli3(chi(t)) == b, t
+        assert type(gen_bernoulli3(chi(t))) is Fraction
 
 
 @pytest.mark.parametrize("t", [-3, -4, -8, -24])

@@ -189,43 +189,51 @@ def test_eisenstein_expressible_rejects_orders_outside_the_sturm_range():
 
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_recovers_seeded_combinations(disc):
+    # seeded combinations of the Eisenstein columns come back with zero
+    # cusp coordinates from the solver of the whole basis
     rng = random.Random(disc)
-    solver = span_solver(disc, "eisenstein")
-    x = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in solver.columns)
-    y = [sum(map(mul, row, x)) for row in solver.samples]
-    assert solver.solve(y) == x
-    # moving one sampled coefficient leaves the span, unless that unit
-    # vector itself lies in it (q^0, q^4, q^8, q^12 for chi(-3))
-    reference = ExactMatrix.from_rows(solver.samples)
+    solver = span_solver(disc)
+    ne = solver.ne
+    eisenstein = [row[:ne] for row in solver.samples]
+    x = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(ne))
+    y = [sum(map(mul, row, x)) for row in eisenstein]
+    assert solver.solve(y) == x + (0,) * (len(solver.columns) - ne)
+    # moving one sampled coefficient leaves the Eisenstein span, unless
+    # that unit vector itself lies in it (q^0, q^4, q^8, q^12 for chi(-3))
+    reference = ExactMatrix.from_rows(eisenstein)
     outside = 0
     for i in range(len(y)):
         moved = list(y)
         moved[i] += 1
         status, sol = reference.solve_linear(moved)
+        got = solver.solve(moved)
         if status == UNIQUE:
-            assert solver.solve(moved) == tuple(sol) != x
+            assert got[:ne] == tuple(sol) != x
+            assert not any(got[ne:])
         else:
             outside += 1
-            assert solver.solve(moved) is None
+            assert got is None or any(got[ne:])
     assert outside >= 9
     with pytest.raises(ValueError):
-        _SpanSolver(solver.columns + solver.columns[:1], solver.rows)
+        _SpanSolver(solver.columns + solver.columns[:1], ne)
 
 
 @pytest.mark.slow
 def test_span_solver_matches_reference_solver(census):
     # the staged span test against the reference path on every census
     # member: the expansion through q^12 tested by the integer span solver
-    # and by ExactMatrix.solve_linear on the same sampled rows, then a hit
-    # expanded to q^60 and checked with first_deviation; the census must
-    # give every member the same classification and coordinates, and
-    # seeded non-hits of each space are rejected by solve_linear too
+    # and by ExactMatrix.solve_linear on the Eisenstein columns of the same
+    # sampled rows, then a hit expanded to q^60 and checked with
+    # first_deviation; the census must give every member the same
+    # classification and coordinates, and seeded non-hits of each space
+    # are rejected by solve_linear too
     rng = random.Random(24)
     rows = sturm_bound() + 1
     hits = 0
     for disc in SPACE_DISCRIMINANTS:
-        solver = span_solver(disc, "eisenstein")
-        reference = ExactMatrix.from_rows(solver.samples)
+        solver = span_solver(disc)
+        ne = solver.ne
+        reference = ExactMatrix.from_rows([row[:ne] for row in solver.samples])
         staged = {f.exponents: x for f, x in census[disc].eisenstein_expressible}
         misses = []
         for f in census[disc].members:
@@ -234,7 +242,9 @@ def test_span_solver_matches_reference_solver(census):
             nums = solver.numerators(y)
             if nums is not None:
                 full = eta_quotient_expansion(f, GRADE * 61)
-                if first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
+                if any(nums[ne:]):
+                    nums = None
+                elif first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
                     nums = None
             if nums is None:
                 assert f.exponents not in staged
@@ -242,7 +252,7 @@ def test_span_solver_matches_reference_solver(census):
                 continue
             hits += 1
             assert all(type(v) is int for v in nums)
-            x = tuple(Fraction(v, solver.den) for v in nums)
+            x = tuple(Fraction(v, solver.den) for v in nums[:ne])
             assert staged[f.exponents] == x
             status, sol = reference.solve_linear(y)
             assert status == UNIQUE
@@ -256,7 +266,7 @@ def test_span_solver_matches_reference_solver(census):
 @pytest.mark.parametrize(
     "label, want, lengths",
     (
-        # order 1, rejected by the first kernel row, which ends at q^5
+        # order 1, rejected by the first row, which ends at q^5
         ("eta24[0,3,0,-4,-5,2,16,-6]", None, [5]),
         # order 6: the first row holds trivially, so q^6..q^12 are read at once
         ("eta24[-6,12,2,3,-4,-6,-5,10]", None, [7]),
@@ -318,10 +328,12 @@ def test_integer_verification_names_the_first_wrong_coefficient(k):
     # columns; moving its q^k coefficient by one keeps q^0..q^12, so the
     # span test still passes and only the verification past them sees it
     f = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
-    solver = span_solver(-8, "eisenstein")
+    solver = span_solver(-8)
     rows = sturm_bound() + 1
     g = eta_quotient_expansion(f, GRADE * 61)
     nums = solver.numerators([g.qcoeff(n) for n in range(rows)])
+    assert not any(nums[solver.ne:])
+    nums = nums[: solver.ne]
     assert solver.den > 1
     assert first_deviation(g, nums, solver.columns, rows, 61, solver.den) is None
     coeffs = [g.qcoeff(n) for n in range(61)]

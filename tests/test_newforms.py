@@ -6,8 +6,8 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qformlab import spaces
-from qformlab.arith import ExactMatrix, format_rational, minimal_polynomial
+from qformlab import newforms, spaces
+from qformlab.arith import UNIQUE, ExactMatrix, format_rational, minimal_polynomial
 from qformlab.characters import chi
 from qformlab.newforms import (
     K1,
@@ -134,6 +134,42 @@ def test_hecke_matrices_match_recorded_digests(disc):
         for p in (5, 7, 11, 13)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == HECKE_SHA256[disc]
+
+
+@pytest.mark.parametrize("disc", spaces.SPACE_DISCRIMINANTS)
+def test_hecke_matrix_matches_a_cusp_column_solve(disc):
+    # the construction the space's one solver replaced: every T_p image
+    # solved by solve_linear on the cusp columns alone, on q^1..q^12
+    rows = range(1, spaces.sturm_bound() + 1)
+    for p in (5, 7, 11, 13):
+        basis, cusp = _cusp_expansions(disc, p * spaces.sturm_bound() + 1)
+        reference = ExactMatrix.from_rows([[e.qcoeff(n) for e in cusp] for n in rows])
+        columns = []
+        for e in cusp:
+            image = [
+                e.qcoeff(p * n) + (basis.character(p) * p * p * e.qcoeff(n // p) if n % p == 0 else 0)
+                for n in rows
+            ]
+            status, sol = reference.solve_linear(image)
+            assert status == UNIQUE
+            columns.append(sol)
+        want = [col[i] for i in range(len(cusp)) for col in columns]
+        assert _hecke_matrix(disc, p).entries == want, p
+
+
+def test_hecke_matrix_rejects_an_image_with_an_eisenstein_part(monkeypatch):
+    # an Eisenstein series in place of a cusp element: its T_5 image is
+    # in the space, with a nonzero Eisenstein coordinate
+    inner = newforms._cusp_expansions
+
+    def swapped(disc, precision):
+        basis, cusp = inner(disc, precision)
+        eis = spaces.basis_expansions(basis, precision)[0].truncated(GRADE * precision)
+        return basis, (eis,) + cusp[1:]
+
+    monkeypatch.setattr(newforms, "_cusp_expansions", swapped)
+    with pytest.raises(ValueError, match="left the cusp span"):
+        _hecke_matrix(-3, 5)
 
 
 # minimal polynomial of T_p on each cusp space, ascending: the squarefree

@@ -2,14 +2,17 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from qformlab import cli, newforms, spaces
+from qformlab import cli, etasearch, newforms, spaces
 from qformlab.arith import UNIQUE, ExactMatrix
 from qformlab.eisenstein import eisenstein3
-from qformlab.etaq import ligozat_check
+from qformlab.etaq import ligozat_check, parse_eta
 from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
 from qformlab.quadforms import classify, genfun
 from qformlab.spaces import (
@@ -204,7 +207,47 @@ def test_expansion_cache_holds_one_entry_per_space():
     assert list(spaces._EXPANSIONS) == [disc]
 
 
+# the column sets one solver per space answers for: the whole basis and
+# its Eisenstein columns on q^0..q^12, and its cusp columns on q^1..q^12
+# (the Hecke images), where they all vanish at q^0
 PARTS = ("basis", "eisenstein", "cusp")
+
+
+def _part(solver, part):
+    """(column indices, sampled row indices) of one column set."""
+    k = len(solver.columns)
+    return {
+        "basis": (range(k), solver.rows),
+        "eisenstein": (range(solver.ne), solver.rows),
+        "cusp": (range(solver.ne, k), solver.rows[1:]),
+    }[part]
+
+
+def _coordinates(solver, part, y):
+    """The solver's coordinates of y over one column set: None unless y
+    is in the span of the basis with zero coordinates off the set."""
+    sol = solver.solve(y)
+    cols, _ = _part(solver, part)
+    if sol is None or any(v for j, v in enumerate(sol) if j not in cols):
+        sol = None
+    else:
+        sol = sol[cols.start : cols.stop]
+    if part == "eisenstein":
+        # the census path, which tests the cusp rows of L first
+        nums = solver.eisenstein_numerators(y)
+        assert sol == (None if nums is None else tuple(Fraction(v, solver.den) for v in nums))
+    return sol
+
+
+def _right_reduced(rows):
+    """Integer rows spanning the same space, reduced from the right: their
+    last nonzero indices are distinct and increase."""
+    reduced, _ = ExactMatrix.from_rows([z[::-1] for z in rows])._reduce()
+    out = []
+    for z in reversed(reduced):
+        m = lcm(*(Fraction(v).denominator for v in z))
+        out.append([int(v * m) for v in reversed(z)])
+    return out
 
 
 # no shrink phase: shrinking the Fraction draws of a failing case ran for
@@ -214,30 +257,35 @@ PARTS = ("basis", "eisenstein", "cusp")
 @settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(data=st.data())
 def test_span_solver_matches_solve_linear(disc, part, data):
-    solver = span_solver(disc, part)
-    reference = ExactMatrix.from_rows(solver.samples)
+    # the one solver of a space against solve_linear on one column set
+    solver = span_solver(disc)
+    cols, rows = _part(solver, part)
+    reference = ExactMatrix.from_rows([[solver.samples[n][j] for j in cols] for n in rows])
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-    x = tuple(data.draw(coeff) for _ in solver.columns)
-    y = [sum(a * b for a, b in zip(row, x)) for row in solver.samples]
-    assert solver.solve(y) == x
+    x = tuple(data.draw(coeff) for _ in cols)
+    y = [sum(row[j] * v for j, v in zip(cols, x)) for row in solver.samples]
+    assert _coordinates(solver, part, y) == x
     # one sampled coefficient moved by one: outside the span exactly when
     # solve_linear finds no unique solution, else the same coordinates
-    i = data.draw(st.integers(min_value=0, max_value=len(y) - 1))
+    i = data.draw(st.sampled_from(rows))
     y[i] += data.draw(st.sampled_from((1, -1)))
-    status, sol = reference.solve_linear(y)
+    status, sol = reference.solve_linear([y[n] for n in rows])
     if status == UNIQUE:
-        assert solver.solve(y) == tuple(sol)
+        assert _coordinates(solver, part, y) == tuple(sol)
     else:
-        assert solver.solve(y) is None
+        assert _coordinates(solver, part, y) is None
 
 
 @pytest.mark.parametrize("part", PARTS)
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_rejects_dependent_columns(disc, part):
-    solver = span_solver(disc, part)
+    solver = span_solver(disc)
     assert len(solver.kernel) == len(solver.rows) - len(solver.columns)
-    with pytest.raises(ValueError):
-        _SpanSolver(solver.columns + solver.columns[-1:], solver.rows)
+    # one more column: the sum of the set's own columns
+    cols, _ = _part(solver, part)
+    extra = reduce(add, (solver.columns[j] for j in cols))
+    with pytest.raises(ValueError, match="dependent columns"):
+        _SpanSolver(solver.columns + (extra,), solver.ne)
 
 
 # length of the shortest dependent prefix of the Eisenstein samples:
@@ -248,31 +296,76 @@ EISENSTEIN_REACH = {-3: 6, -4: 6, -8: 5, -24: 5}
 @pytest.mark.parametrize("part", PARTS)
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_kernel_rows_end_in_increasing_order(disc, part):
-    solver = span_solver(disc, part)
+    # the left kernel of one column set on q^0..q^12 is spanned by the
+    # kernel rows of the one factorization and its left-inverse rows off
+    # the set; reduced from the right, its first row is the dependency
+    # of the shortest dependent prefix, which for the Eisenstein columns
+    # is the solver's `first`
+    solver = span_solver(disc)
+    cols, _ = _part(solver, part)
+    others = [row for j, row in enumerate(solver.left_inverse) if j not in cols]
+    kernel = _right_reduced(solver.kernel + others)
+    samples = [[row[j] for j in cols] for row in solver.samples]
     ends = []
-    for z in solver.kernel:
-        assert all(type(v) is int for v in z)
-        assert all(sum(a * b for a, b in zip(z, col)) == 0 for col in zip(*solver.samples))
+    for z in kernel:
+        assert all(sum(a * b for a, b in zip(z, col)) == 0 for col in zip(*samples))
         ends.append(max(i for i, v in enumerate(z) if v))
     assert ends == sorted(set(ends))
-    assert ExactMatrix.from_rows(solver.kernel).rank() == len(solver.kernel)
-    # the first row is the dependency of the shortest dependent prefix
-    reach = solver.reach
-    assert reach == ends[0] + 1
-    assert ExactMatrix.from_rows(solver.samples[: reach - 1]).rank() == reach - 1
-    assert ExactMatrix.from_rows(solver.samples[:reach]).rank() == reach - 1
+    assert len(kernel) == len(solver.rows) - len(cols)
+    assert ExactMatrix.from_rows(kernel).rank() == len(kernel)
+    reach = ends[0] + 1
+    assert ExactMatrix.from_rows(samples[: reach - 1]).rank() == reach - 1
+    assert ExactMatrix.from_rows(samples[:reach]).rank() == reach - 1
     if part == "eisenstein":
-        assert reach == EISENSTEIN_REACH[disc]
+        assert kernel[0] == solver.first
+        assert reach == solver.reach == EISENSTEIN_REACH[disc]
+    assert all(type(v) is int for v in solver.first)
+
+
+@pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
+def test_first_row_matches_an_eisenstein_only_factorization(disc):
+    # the construction the solver replaced: a left_factor of the
+    # Eisenstein columns alone, its kernel reduced from the right
+    solver = span_solver(disc)
+    _, kernel = ExactMatrix.from_rows([row[: solver.ne] for row in solver.samples]).left_factor()
+    first = _right_reduced(kernel)[0]
+    assert first == solver.first
+    assert max(i for i, v in enumerate(first) if v) + 1 == solver.reach == EISENSTEIN_REACH[disc]
+
+
+def _counted_left_factor(monkeypatch):
+    """Record (rows, cols) of every left_factor call from here on."""
+    factored = []
+    left_factor = ExactMatrix.left_factor
+
+    def counted(self):
+        factored.append((self.rows, self.cols))
+        return left_factor(self)
+
+    monkeypatch.setattr(ExactMatrix, "left_factor", counted)
+    return factored
+
+
+def test_one_factorization_serves_every_reader(monkeypatch):
+    # a formula, a census member and a Hecke matrix of one space: the
+    # whole basis is factored once, on q^0..q^12
+    monkeypatch.setattr(spaces, "_SOLVERS", {})
+    factored = _counted_left_factor(monkeypatch)
+    basis = build_basis(-3)
+    assert solve_in_basis(genfun((3, 0, 3, 0)), basis)[len(basis.eisenstein):] == (4, 0, 0, -16)
+    assert etasearch.eisenstein_expressible(parse_eta("eta3[-3,9]").lifted(24)) == (0, 0, 0, 0, 1, 0, 0, 0)
+    assert newforms._hecke_matrix(-3, 5).rows == len(basis.cusp)
+    assert factored == [(sturm_bound() + 1, basis.dimension)]
+    assert list(spaces._SOLVERS) == [-3]
 
 
 def test_sturm_solves_factor_each_space_once(monkeypatch, capsys):
     # no solve_in_basis or _hecke_matrix call eliminates a matrix of its
-    # own, and each (space, column set) is factored once from cold
+    # own, and each space is factored once from cold
     spaces._SOLVERS.clear()
     guarded = {spaces.solve_in_basis.__code__, newforms._hecke_matrix.__code__}
     solves = []  # name of the guarded caller, or None
-    factored = []
-    solve_linear, left_factor = ExactMatrix.solve_linear, ExactMatrix.left_factor
+    solve_linear = ExactMatrix.solve_linear
 
     def counted_solve(self, y):
         frame = sys._getframe(1)
@@ -281,19 +374,13 @@ def test_sturm_solves_factor_each_space_once(monkeypatch, capsys):
         solves.append(frame and frame.f_code.co_name)
         return solve_linear(self, y)
 
-    def counted_factor(self):
-        factored.append((self.rows, self.cols))
-        return left_factor(self)
-
     monkeypatch.setattr(ExactMatrix, "solve_linear", counted_solve)
-    monkeypatch.setattr(ExactMatrix, "left_factor", counted_factor)
+    factored = _counted_left_factor(monkeypatch)
     for argv in (["derive-table"], ["verify-tables"], ["verify-newforms"]):
         assert cli.main(argv) == 0
     for name in ("f1", "f2", "f5"):
         assert newforms.rederive_newform(name).ok
     capsys.readouterr()
     assert solves == [None]  # solve_back_f1 only; minimal polynomials read kernel_basis
-    assert sorted(spaces._SOLVERS) == sorted(
-        [(d, "basis") for d in SPACE_DISCRIMINANTS] + [(d, "cusp") for d in (-3, -8, -24)]
-    )
+    assert sorted(spaces._SOLVERS) == sorted(SPACE_DISCRIMINANTS)
     assert len(factored) == len(spaces._SOLVERS)
