@@ -30,7 +30,6 @@ from .etaq import (
 )
 from .etasearch import (
     CensusResult,
-    census_counts,
     census_crosscheck,
     eisenstein_expressible,
     enumerate_space,
@@ -87,7 +86,6 @@ __all__ = [
     "ligozat_check",
     "parse_eta",
     "CensusResult",
-    "census_counts",
     "census_crosscheck",
     "eisenstein_expressible",
     "enumerate_space",

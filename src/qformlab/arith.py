@@ -238,6 +238,9 @@ class NumberFieldElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational element equals its rational, so it hashes as one
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field.poly, self.coeffs))
 
     def __bool__(self):

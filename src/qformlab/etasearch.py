@@ -33,7 +33,6 @@ from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, first_deviation, span_solver,
 __all__ = [
     "CensusResult",
     "enumerate_space",
-    "census_counts",
     "eisenstein_expressible",
     "RemarkIdentity",
     "REMARK_IDENTITIES",
@@ -305,18 +304,6 @@ def enumerate_space(char) -> CensusResult:
     return CensusResult(
         character=chi(disc), members=members, eisenstein_expressible=tuple(hits)
     )
-
-
-def census_counts():
-    """(member count, expressible count) per discriminant, full census."""
-    return {
-        disc: (
-            len(result.members),
-            len(result.eisenstein_expressible),
-        )
-        for disc in SPACE_DISCRIMINANTS
-        for result in (enumerate_space(disc),)
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Truncated formal power series q^(v/24) * (power series in q) over
-exact scalars.
+"""Truncated q-series q^(v/24) * (power series in q) over exact
+scalars, and the integer eta-product kernel behind them.
 
 Every series here has one shape: an eta quotient is q^(v/24) times a
 power series in q (Koehler, Eta Products and Theta Series Identities,
@@ -7,14 +7,15 @@ power series in q (Koehler, Eta Products and Theta Series Identities,
 So a series stores its valuation v in grade-24 units and then one
 coefficient per q-step: coefficient i stands at q^((v + 24 i)/24).
 Truncation is data carried by every series: coefficients at grade-24
-exponents at or beyond `trunc` are unknown (not zero), and every
-operation computes the exact truncation it can honestly guarantee.
+exponents at or beyond `trunc` are unknown (not zero).
 
-The same engine runs over int, Fraction and NumberFieldElement
-coefficients; nothing here ever touches floating point.
+`QSeries` is a container, not a ring: every expansion is computed as
+one coefficient list (the integer eta kernel below, `eisenstein3`,
+`newforms._combine`) and wrapped once, and readers take coefficients by
+exponent.  Coefficients are int, Fraction or NumberFieldElement;
+nothing here ever touches floating point.
 """
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -67,10 +68,6 @@ class QSeries:
         return cls(trunc, (), trunc)
 
     @classmethod
-    def constant(cls, c, trunc: int) -> "QSeries":
-        return cls(0, (c,), trunc)
-
-    @classmethod
     def from_terms(cls, terms, trunc: int) -> "QSeries":
         """terms: iterable of (grade-24 exponent, coefficient), all
         exponents in one residue class mod 24."""
@@ -115,116 +112,13 @@ class QSeries:
         """True when every exponent sits at a multiple of 24."""
         return self.val % GRADE == 0
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def truncated(self, trunc: int) -> "QSeries":
         """The same series known only below grade-24 exponent trunc."""
         if trunc > self.trunc:
             raise ValueError("truncation %d beyond the known %d" % (trunc, self.trunc))
         return QSeries(self.val, self.coeffs[: _steps(self.val, trunc)], trunc)
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        parts = [s for s in (self, other) if s.coeffs]
-        if len(parts) == 2 and (self.val - other.val) % GRADE:
-            raise ValueError(
-                "cannot add series at exponents %d and %d mod %d"
-                % (self.val, other.val, GRADE)
-            )
-        lo = min([s.val for s in parts] + [trunc])
-        out = [0] * _steps(lo, trunc)
-        for s in parts:
-            for e, c in s.terms():
-                if e < trunc:
-                    i = (e - lo) // GRADE
-                    # a cancelled coefficient is the int 0 whatever its type
-                    out[i] = out[i] + c or 0
-        return QSeries(lo, out, trunc)
-
-    def scale(self, c) -> "QSeries":
-        """Multiply by one scalar."""
-        if not c:
-            return QSeries.zero(self.trunc)
-        return QSeries(self.val, tuple(c * a for a in self.coeffs), self.trunc)
-
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        trunc = min(self.trunc + other.val, other.trunc + self.val)
-        if self.is_zero() or other.is_zero():
-            return QSeries.zero(trunc)
-        val = self.val + other.val
-        n = _steps(val, trunc)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        # a cancelled coefficient is the int 0 whatever its type
-                        out[i + j] = out[i + j] + a * b or 0
-        return QSeries(val, out, trunc)
-
-    def inverse(self) -> "QSeries":
-        """Exact series inverse; leading coefficient must be invertible."""
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert a series with no known nonzero term")
-        c0 = self.coeffs[0]
-        n = _steps(self.val, self.trunc)  # relative precision of the unit part
-        if isinstance(c0, int):
-            if c0 in (1, -1):
-                inv0 = c0
-            else:
-                inv0 = Fraction(1, c0)
-        else:
-            inv0 = 1 / c0
-        out = [0] * n
-        out[0] = inv0
-        a = self.coeffs
-        alen = len(a)
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, min(k, alen - 1) + 1):
-                if a[j] and out[k - j]:
-                    acc = acc + a[j] * out[k - j]
-            if acc:
-                out[k] = -(inv0 * acc) if inv0 != 1 else -acc
-        return QSeries(-self.val, out, self.trunc - 2 * self.val)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            raise TypeError("series powers must be integers")
-        if e == 0:
-            return QSeries.constant(1, max(self.trunc - self.val, 1))
-        base = self if e > 0 else self.inverse()
-        e = abs(e)
-        out = None
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
-    # -- comparison helpers ---------------------------------------------
-
-    def agrees_with(self, other: "QSeries", through: int | None = None) -> bool:
-        """Coefficient equality on the commonly known range.
-
-        `through` (grade-24, exclusive) caps the range; defaults to the
-        smaller truncation.
-        """
-        bound = min(self.trunc, other.trunc)
-        if through is not None:
-            bound = min(bound, through)
-        return [t for t in self.terms() if t[0] < bound] == [
-            t for t in other.terms() if t[0] < bound
-        ]
+    # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -235,9 +129,6 @@ class QSeries:
             and len(self.coeffs) == len(other.coeffs)
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __hash__(self):
-        return hash((self.val, self.trunc, self.coeffs))
 
     def __repr__(self):
         terms = list(self.terms())

@@ -44,6 +44,18 @@ def test_fraction_coercion():
     assert a + Fraction(1, 3) - Fraction(1, 3) == a
 
 
+@pytest.mark.parametrize("field", [newforms.K1, newforms.K2, newforms.K3])
+@pytest.mark.parametrize("x", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+def test_rational_elements_hash_as_their_rational(field, x):
+    y = field.embed(x)
+    assert y == x and hash(y) == hash(x)
+    assert len({y, x}) == 1
+    assert {x: "rational"}[y] == "rational"
+    # an element with a higher coefficient equals no rational
+    z = y + field.generator()
+    assert z != x and len({z, y}) == 2
+
+
 def test_float_rejected():
     a = K2.generator()
     with pytest.raises(TypeError):
