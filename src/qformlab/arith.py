@@ -13,9 +13,12 @@ on the first nonzero pivot (all that exact arithmetic needs), and rank,
 solve_linear, kernel_basis, left_factor and minimal_polynomial each read
 their answer from the reduced row echelon form it returns.  Every pivot
 is inverted, so over a reducible modulus a zero-divisor pivot raises
-ZeroDivisionError.  minimal_polynomial serves both a number-field
-element and a square rational matrix (a Hecke operator): either way it
-is the first dependency among the coordinates of 1, b, b^2, ...
+ZeroDivisionError.  A number-field element reaches that elimination for
+its own inverse and minimal polynomial only as its multiplication
+matrix (NumberFieldElement.matrix), a rational matrix: the inverse is
+read from one kernel, and the minimal polynomial is that of the
+matrix, as for a Hecke operator, the first dependency among the
+entries of 1, b, b^2, ...  There is no polynomial division.
 """
 
 from fractions import Fraction
@@ -101,26 +104,6 @@ class NumberField:
         return "NumberField(%s)" % (self.poly,)
 
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder in Q[x]; coefficient lists, constant first."""
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return _poly_trim(q), _poly_trim(num[: len(den) - 1])
-
-
 class NumberFieldElement:
     """The reduced residue of a polynomial in the field generator."""
 
@@ -186,28 +169,27 @@ class NumberFieldElement:
 
     __rmul__ = __mul__
 
+    def matrix(self) -> "ExactMatrix":
+        """Regular representation: column j holds the coordinates of
+        self * alpha^j, so it maps the coordinates of y to those of
+        self * y."""
+        d = self.field.degree
+        columns = [(self * self.field.element([0] * j + [1])).coeffs for j in range(d)]
+        return ExactMatrix.from_rows(list(zip(*columns)))
+
     def inverse(self) -> "NumberFieldElement":
-        """Extended Euclid against the defining polynomial."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        # invariants: r0 = s0 * self (mod m), r1 = s1 * self (mod m)
-        r0, r1 = list(self.field.poly), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-        if not r1:
-            raise ZeroDivisionError("element not invertible (reducible modulus?)")
-        c = 1 / r1[0]
-        inv = [sc * c for sc in s1]
-        _, inv = _poly_divmod(inv, list(self.field.poly)) if len(inv) > self.field.degree else (None, inv)
-        return self.field.element(inv)
+        """Read from the kernel of [M | e_0], M = self.matrix().
+
+        It is spanned by (-x, 1), x the coordinates of the inverse,
+        exactly when self is invertible; any other kernel (zero, or a
+        zero divisor of a reducible modulus) raises ZeroDivisionError.
+        """
+        m = self.matrix()
+        aug = ExactMatrix.from_rows([m.row(i) + [int(i == 0)] for i in range(m.rows)])
+        kernel = aug.kernel_basis()
+        if len(kernel) != 1 or not kernel[0][-1]:
+            raise ZeroDivisionError("field element %r is not invertible" % (self,))
+        return self.field.element([-c for c in kernel[0][:-1]])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -400,34 +382,28 @@ def minimal_polynomial(a):
     """Monic minimal polynomial over Q of a field element or of a square
     rational ExactMatrix, constant term first, every entry a Fraction.
 
-    Its coefficients are the first kernel vector of the matrix whose
-    columns are the coordinates of 1, b, ..., b^d: the first free column
-    is the first power dependent on the ones before it.  For a field
-    element b = a, with its d coefficients as coordinates.  For a k x k
-    matrix d = k (Cayley-Hamilton) and b = D a, D the least common
-    denominator of the entries, so the powers are int matrix products,
-    read row by row; a coefficient c_i of the polynomial of b, of degree
-    m, is c_i / D^(m-i) for a.  The length of the returned tuple is
-    m + 1.
+    A field element is replaced by its multiplication matrix, which has
+    the same minimal polynomial.  For a k x k matrix the coefficients
+    are the first kernel vector of the matrix whose columns are the
+    entries of 1, b, ..., b^k (Cayley-Hamilton), read row by row: the
+    first free column is the first power dependent on the ones before
+    it.  Here b = D a, D the least common denominator of the entries,
+    so the powers are int matrix products; a coefficient c_i of the
+    polynomial of b, of degree m, is c_i / D^(m-i) for a.  The length
+    of the returned tuple is m + 1.
     """
-    if isinstance(a, ExactMatrix):
-        if a.rows != a.cols:
-            raise ValueError("minimal polynomial of a %d x %d matrix" % (a.rows, a.cols))
-        den = lcm(*(e.denominator for e in a.entries))
-        b = [[int(e * den) for e in a.row(i)] for i in range(a.rows)]
-        bcols = list(zip(*b))
-        power = [[int(i == j) for j in range(a.cols)] for i in range(a.rows)]
-        columns = [sum(power, [])]
-        for _ in range(a.rows):
-            power = [[sum(map(mul, r, c)) for c in bcols] for r in power]
-            columns.append(sum(power, []))
-    else:
-        den = 1
-        power = a.field.one()
-        columns = [power.coeffs]
-        for _ in range(a.field.degree):
-            power = power * a
-            columns.append(power.coeffs)
+    if isinstance(a, NumberFieldElement):
+        a = a.matrix()
+    if a.rows != a.cols:
+        raise ValueError("minimal polynomial of a %d x %d matrix" % (a.rows, a.cols))
+    den = lcm(*(e.denominator for e in a.entries))
+    b = [[int(e * den) for e in a.row(i)] for i in range(a.rows)]
+    bcols = list(zip(*b))
+    power = [[int(i == j) for j in range(a.cols)] for i in range(a.rows)]
+    columns = [sum(power, [])]
+    for _ in range(a.rows):
+        power = [[sum(map(mul, r, c)) for c in bcols] for r in power]
+        columns.append(sum(power, []))
     poly = list(ExactMatrix.from_rows(list(zip(*columns))).kernel_basis()[0])
     while not poly[-1]:
         poly.pop()

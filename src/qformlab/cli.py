@@ -144,6 +144,8 @@ def _cmd_ligozat_check(args) -> int:
 
 def _cmd_eisenstein(args) -> int:
     spec = parse_e3(args.label)
+    if args.precision < 0:
+        raise ValueError("--precision must be nonnegative")
     series = eisenstein3(spec.chi, spec.psi, spec.t, args.precision + 1)
     payload = {"label": spec.label(), "precision": args.precision}
     payload.update(_series_json(series))
@@ -212,11 +214,9 @@ def _cmd_rep_count(args) -> int:
     form = _parse_form(args.form)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    use_oracle = args.oracle or not args.formula
-    use_formula = args.formula or not args.oracle
-    oracle = rep_count_bruteforce(form, args.n) if use_oracle else None
+    oracle = None if args.formula else rep_count_bruteforce(form, args.n)
     formula = None
-    if use_formula:
+    if not args.oracle:
         if args.n == 0:
             formula = 1  # empty sum: only the zero vector
         else:
@@ -472,8 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep-count", help="representation number of one form")
     p.add_argument("--form", required=True, help="6 coefficients, e.g. 1,1,1,1,3,3")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="brute force only")
-    p.add_argument("--formula", action="store_true", help="derived formula only")
+    method = p.add_mutually_exclusive_group()
+    method.add_argument("--oracle", action="store_true", help="brute force only")
+    method.add_argument("--formula", action="store_true", help="derived formula only")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=_cmd_rep_count)
 

@@ -19,6 +19,7 @@ nothing here ever touches floating point.
 from itertools import accumulate
 from operator import mul
 
+from .characters import chi, sigma_twisted_table
 from .etaq import EtaQuotient
 
 GRADE = 24
@@ -176,12 +177,7 @@ def _sigma_table(L: int) -> list:
     """The shared table sigma(0..M-1) for some M >= L (sigma(0) = 0)."""
     global _SIGMA
     if len(_SIGMA) < L:
-        size = max(L, 2 * len(_SIGMA))
-        sigma = [0] * size
-        for d in range(1, size):
-            for m in range(d, size, d):
-                sigma[m] += d
-        _SIGMA = sigma
+        _SIGMA = sigma_twisted_table(1, chi(1), chi(1), max(L, 2 * len(_SIGMA)))
     return _SIGMA
 
 

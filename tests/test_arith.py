@@ -76,13 +76,24 @@ def test_field_ring_laws(p, q, r, s):
     assert (x - y) + y == x
 
 
-@given(small, small)
-def test_nonzero_elements_invert(p, q):
-    a = K2.generator()
-    x = p + q * a
+@settings(deadline=None)
+@given(st.sampled_from((K2, newforms.K1, newforms.K2, newforms.K3)), st.data())
+def test_nonzero_elements_invert(field, data):
+    x = field.element(data.draw(st.lists(small, min_size=field.degree, max_size=field.degree)))
     if x == 0:
         return
     assert x * (1 / x) == 1
+
+
+def test_inverse_over_a_reducible_modulus():
+    # Q[x]/(x^2 - 1) has zero divisors: the kernel of [M | e_0] must be
+    # spanned by one vector (-x, 1) for an inverse to be read from it
+    a = NumberField((-1, 0, 1)).generator()
+    with pytest.raises(ZeroDivisionError):
+        (a - a).inverse()  # M = 0: two free columns
+    with pytest.raises(ZeroDivisionError):
+        (a - 1).inverse()  # e_0 is outside the image: its column is a pivot
+    assert (a + 2).inverse() == (2 - a) * Fraction(1, 3)
 
 
 @given(
@@ -265,6 +276,7 @@ def test_minimal_polynomial_of_an_element_is_that_of_its_multiplication_matrix(f
     # column j holds the coordinates of a * alpha^j
     columns = [(a * field.element([0] * j + [1])).coeffs for j in range(field.degree)]
     mat = ExactMatrix.from_rows(list(zip(*columns)))
+    assert a.matrix().entries == mat.entries
     assert minimal_polynomial(mat) == minimal_polynomial(a)
 
 

@@ -84,6 +84,15 @@ def test_eisenstein(capsys):
     assert out.strip() == "E3[-4,1,1] = -1/4 + q + q^2 - 8*q^3 + q^4 + 26*q^5 + O(q^6)"
 
 
+def test_eisenstein_negative_precision_exits_2(capsys):
+    code, out, err = run_cli(capsys, "eisenstein", "E3[-4,1,1]", "--precision", "-1")
+    assert code == 2 and out == ""
+    assert "--precision must be nonnegative" in err
+    code, out, _ = run_cli(capsys, "eisenstein", "E3[-4,1,1]", "--precision", "0")
+    assert code == 0
+    assert out.strip() == "E3[-4,1,1] = -1/4 + O(q)"
+
+
 def test_rep_count_compare_agrees(capsys):
     code, out, _ = run_cli(capsys, "rep-count", "--form", "1,1,1,1,1,1", "--n", "10")
     assert code == 0
@@ -113,6 +122,20 @@ def test_rep_count_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"count": 820, "form": [1, 1, 2, 2, 3, 6], "method": "both", "n": 25}
+
+
+def test_rep_count_mode_flags_exclude_each_other(capsys):
+    # both flags would run both sides yet report one method
+    with pytest.raises(SystemExit) as exc:
+        main(["rep-count", "--form", "1,1,2,2,3,6", "--n", "25", "--oracle", "--formula"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "usage:" in out.err and "not allowed with argument" in out.err
+    for flag in ("--oracle", "--formula"):
+        code, out, _ = run_cli(capsys, "rep-count", "--form", "1,1,2,2,3,6", "--n", "25", flag, "--json")
+        assert code == 0
+        assert json.loads(out) == {"count": 820, "form": [1, 1, 2, 2, 3, 6], "method": flag[2:], "n": 25}
 
 
 def test_basis_dump(capsys):
