@@ -11,7 +11,7 @@ Gamma_0(24).
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from math import isqrt
 
 # discriminant -> conductor
 CONDUCTOR = {1: 1, -3: 3, -4: 4, 8: 8, -8: 8, 12: 12, 24: 24, -24: 24}
@@ -141,14 +141,27 @@ def sigma_twisted(k: int, char: DirichletChar, psi: DirichletChar, n) -> int:
 def sigma_twisted_table(k: int, char: DirichletChar, psi: DirichletChar, size: int):
     """[sigma_twisted(k, char, psi, n) for n in range(size)] from one sieve.
 
-    chi(d) d^k psi(e) is added at n = d e for every d e < size, the
-    multiples of d taken in one slice; index 0 stays 0.
+    chi(d) d^k psi(e) is added at n = d e for every d e < size; index 0
+    stays 0.  With r = isqrt(size - 1), each d <= r walks its multiples
+    and each cofactor e walks the d > r with d e < size (then e <= r),
+    so only O(sqrt(size)) loops are started.
     """
     out = [0] * size
+    if size < 2:
+        return out
     psis = [psi(e) for e in range(size)]
-    for d in range(1, size):
-        w = char(d) * d**k
+    ws = [char(d) * d**k for d in range(size)]
+    r = isqrt(size - 1)
+    for d in range(1, r + 1):
+        w = ws[d]
         if w:
-            hits = slice(d, size, d)
-            out[hits] = map(add, out[hits], map(w.__mul__, psis[1 : (size - 1) // d + 1]))
+            e = 1
+            for n in range(d, size, d):
+                out[n] += w * psis[e]
+                e += 1
+    for e in range(1, (size - 1) // (r + 1) + 1):
+        p = psis[e]
+        if p:
+            for d in range(r + 1, (size - 1) // e + 1):
+                out[d * e] += ws[d] * p
     return out

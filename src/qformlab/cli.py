@@ -44,6 +44,12 @@ from .spaces import SPACE_DISCRIMINANTS, build_basis, verify_basis
 
 _CHAR_CHOICES = SPACE_DISCRIMINANTS
 
+# Largest n that rep-count answers, per method; past them it exits 2
+# before any work.  Slowest form at the bound on a 2-vCPU KVM guest:
+ENUMERATOR_MAX_N = 800  # default mode and --oracle: 5.7 s (1,1,1,1,1,1)
+FORMULA_CUSP_MAX_N = 10**4  # cusp expansions to q^n: 0.8 s (1,1,1,1,2,3)
+FORMULA_EISENSTEIN_MAX_N = 10**12  # divisor sums by trial division: 0.6 s (1,3,3,3,3,3)
+
 
 def _q_power(e: int) -> str:
     if e == 0:
@@ -214,6 +220,11 @@ def _cmd_rep_count(args) -> int:
     form = _parse_form(args.form)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
+    if not args.formula and args.n > ENUMERATOR_MAX_N:
+        raise ValueError(
+            "--n %d is above the enumerator bound %d; --formula goes further"
+            % (args.n, ENUMERATOR_MAX_N)
+        )
     oracle = None if args.formula else rep_count_bruteforce(form, args.n)
     formula = None
     if not args.oracle:
@@ -221,6 +232,13 @@ def _cmd_rep_count(args) -> int:
             formula = 1  # empty sum: only the zero vector
         else:
             row = derive_formula(form.exponents)
+            cusp = any(row.cusp)
+            bound = FORMULA_CUSP_MAX_N if cusp else FORMULA_EISENSTEIN_MAX_N
+            if args.n > bound:
+                raise ValueError(
+                    "--n %d is above the formula bound %d for a form with%s a cusp part"
+                    % (args.n, bound, "" if cusp else "out")
+                )
             value = rep_count_formula(row, args.n)
             if value.denominator != 1:
                 print("formula produced a non-integer count %s" % value, file=sys.stderr)

@@ -12,8 +12,9 @@ formula, nested-loop enumeration) and must agree exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
-from math import isqrt
+from math import isqrt, lcm
 
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient
@@ -172,6 +173,14 @@ class FormulaRow:
     def values(self) -> tuple:
         return self.eisenstein + self.cusp
 
+    @cached_property
+    def integer_view(self) -> tuple:
+        """(den, numerators): values() as ints over their least common
+        denominator, computed once per row."""
+        values = self.values()
+        den = lcm(*(v.denominator for v in values))
+        return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
 
 def derive_formula(exponents, precision: int = 61) -> FormulaRow:
     """Solve the theta series against its space basis, exactly.
@@ -183,7 +192,7 @@ def derive_formula(exponents, precision: int = 61) -> FormulaRow:
     character = classify(exponents)
     basis = build_basis(character.discriminant)
     f = genfun(exponents, precision)
-    sol = tuple(Fraction(x) for x in solve_in_basis(f, basis))
+    sol = solve_in_basis(f, basis)
     ne = len(basis.eisenstein)
     return FormulaRow(
         exponents=tuple(exponents),
@@ -194,20 +203,26 @@ def derive_formula(exponents, precision: int = 61) -> FormulaRow:
 
 
 def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
-    """Evaluate the formula at n >= 1: twisted divisor sums plus cusp terms."""
+    """Evaluate the formula at n >= 1: twisted divisor sums plus cusp terms.
+
+    The sum runs in ints over the row's one denominator, so a query
+    builds one `Fraction`, the result.
+    """
     if n < 1:
         raise ValueError("the formula covers n >= 1")
     basis = build_basis(row.character.discriminant)
-    total = Fraction(0)
-    for coeff, spec in zip(row.eisenstein, basis.eisenstein):
-        if coeff and n % spec.t == 0:
-            total += coeff * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
-    if any(row.cusp):
-        ne = len(basis.eisenstein)
-        for coeff, series in zip(row.cusp, basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
-            if coeff:
-                total += coeff * series.qcoeff(n)
-    return total
+    den, nums = row.integer_view
+    ne = len(basis.eisenstein)
+    total = 0
+    for num, spec in zip(nums, basis.eisenstein):
+        if num and n % spec.t == 0:
+            total += num * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
+    cusp = nums[ne:]
+    if any(cusp):
+        for num, series in zip(cusp, basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
+            if num:
+                total += num * series.qcoeff(n)
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------

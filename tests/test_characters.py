@@ -147,10 +147,12 @@ def test_sigma_twisted_multiplicative():
 
 @pytest.mark.parametrize("t", KNOWN_DISCRIMINANTS)
 def test_sigma_twisted_table_matches_single_sums(t):
+    # the sieve walks the multiples of d <= isqrt(size - 1) and the
+    # cofactors of larger d; sizes 2, 5, 10 and 17 sit just past a square
     char = chi(t)
     for psi in map(chi, KNOWN_DISCRIMINANTS):
-        for k in (0, 2):
-            table = sigma_twisted_table(k, char, psi, 400)
-            assert table == [sigma_twisted(k, char, psi, n) for n in range(400)]
-    assert sigma_twisted_table(2, char, char, 0) == []
-    assert sigma_twisted_table(2, char, char, 1) == [0]
+        for k in (0, 1, 2):
+            reference = [sigma_twisted(k, char, psi, n) for n in range(400)]
+            for size in (0, 1, 2, 5, 10, 17, 61, 300, 400):
+                assert sigma_twisted_table(k, char, psi, size) == reference[:size]
+

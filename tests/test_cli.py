@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from qformlab.cli import main
+from qformlab.cli import (
+    ENUMERATOR_MAX_N,
+    FORMULA_CUSP_MAX_N,
+    FORMULA_EISENSTEIN_MAX_N,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +141,33 @@ def test_rep_count_mode_flags_exclude_each_other(capsys):
         code, out, _ = run_cli(capsys, "rep-count", "--form", "1,1,2,2,3,6", "--n", "25", flag, "--json")
         assert code == 0
         assert json.loads(out) == {"count": 820, "form": [1, 1, 2, 2, 3, 6], "method": flag[2:], "n": 25}
+
+
+@pytest.mark.parametrize(
+    "form, n, flag, bound",
+    [
+        # pure Eisenstein: sigma_twisted would trial-divide up to 10^10
+        ("1,1,1,1,1,1", 10**20, "--formula", FORMULA_EISENSTEIN_MAX_N),
+        # default mode runs the cubic enumerator
+        ("1,1,2,2,3,6", 3000, None, ENUMERATOR_MAX_N),
+        ("1,1,2,2,3,6", ENUMERATOR_MAX_N + 1, "--oracle", ENUMERATOR_MAX_N),
+        # the cusp expansions would grow to q^200000
+        ("1,1,2,2,3,6", 200000, "--formula", FORMULA_CUSP_MAX_N),
+        ("1,1,2,2,3,6", FORMULA_CUSP_MAX_N + 1, "--formula", FORMULA_CUSP_MAX_N),
+    ],
+)
+def test_rep_count_refuses_n_past_its_bound(capsys, form, n, flag, bound):
+    argv = ["rep-count", "--form", form, "--n", str(n)] + ([flag] if flag else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "bound %d" % bound in err
+
+
+def test_rep_count_bounds_order():
+    # the default mode checks both sides, so the enumerator bound is the
+    # one it meets first
+    assert ENUMERATOR_MAX_N < FORMULA_CUSP_MAX_N < FORMULA_EISENSTEIN_MAX_N
 
 
 def test_basis_dump(capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 import pytest
@@ -20,7 +22,8 @@ from qformlab.quadforms import (
     rep_count_formula,
     rep_counts_bruteforce,
 )
-from qformlab import qseries, spaces
+from qformlab import qseries, quadforms, spaces
+from qformlab.characters import sigma_twisted
 from qformlab.spaces import SPACE_DISCRIMINANTS
 
 
@@ -242,3 +245,111 @@ def test_ascending_queries_equal_cold_single_queries(monkeypatch):
         want.append(rep_count_formula(row, n))
     cold_start()
     assert [rep_count_formula(row, n) for n in range(1, 201)] == want
+
+
+def _fraction_formula(row, n):
+    """Reference: the formula summed term by term in Fraction arithmetic."""
+    basis = spaces.build_basis(row.character.discriminant)
+    total = Fraction(0)
+    for coeff, spec in zip(row.eisenstein, basis.eisenstein):
+        if coeff and n % spec.t == 0:
+            total += coeff * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
+    if any(row.cusp):
+        ne = len(basis.eisenstein)
+        for coeff, series in zip(row.cusp, spaces.basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
+            if coeff:
+                total += coeff * series.qcoeff(n)
+    return total
+
+
+def _disputed_as_23rds(row):
+    """The disputed row with its bare 4 read as 4/23, like its neighbours:
+    no longer a theta series, so its values are not all integers."""
+    col = DISPUTED_CELLS[0][1] - len(row.eisenstein)
+    cusp = row.cusp[:col] + (row.cusp[col] / 23,) + row.cusp[col + 1:]
+    return dataclasses.replace(row, cusp=cusp)
+
+
+@cache
+def _row_sets():
+    """All 84 derived rows, and every fixture row plus the disputed row
+    read as 23rds; built on first use, not at collection."""
+    fixture = [row for d in SPACE_DISCRIMINANTS for row in load_fixture(d)]
+    return {
+        "derived": [derive_formula(e) for e in all_forms()],
+        "fixture": fixture + [_disputed_as_23rds(_disputed_row())],
+    }
+
+
+def _disputed_row():
+    exps = DISPUTED_CELLS[0][0]
+    return next(r for r in load_fixture(classify(exps).discriminant) if r.exponents == exps)
+
+
+@pytest.mark.parametrize("rows", ["derived", "fixture"])
+def test_integer_evaluation_matches_fraction_reference(rows):
+    for row in _row_sets()[rows]:
+        for n in range(1, 121):
+            value = rep_count_formula(row, n)
+            assert type(value) is Fraction
+            assert value == _fraction_formula(row, n), (row.exponents, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2000))
+def test_integer_evaluation_matches_fraction_reference_drawn(n):
+    for rows in _row_sets().values():
+        for row in rows:
+            assert rep_count_formula(row, n) == _fraction_formula(row, n), (row.exponents, n)
+
+
+def test_disputed_row_values():
+    # the printed row equals the derived one, so its values are integers;
+    # read as 4/23, the same cell gives non-integers on both paths
+    printed = _disputed_row()
+    assert printed == derive_formula(printed.exponents)
+    assert all(rep_count_formula(printed, n).denominator == 1 for n in range(1, 121))
+    altered = _disputed_as_23rds(printed)
+    value = rep_count_formula(altered, 2)
+    assert value.denominator == 23
+    assert value == _fraction_formula(altered, 2)
+
+
+@pytest.mark.parametrize("rows", ["derived", "fixture"])
+def test_integer_view_is_the_least_common_denominator(rows):
+    for row in _row_sets()[rows]:
+        den, nums = row.integer_view
+        values = row.values()
+        assert den >= 1 and len(nums) == len(values)
+        assert all(den * v == num and type(num) is int for v, num in zip(values, nums))
+        # no proper divisor of den clears every denominator
+        for p in range(2, den + 1):
+            if den % p == 0 and all(p % q for q in range(2, isqrt(p) + 1)):
+                assert any((den // p * v).denominator != 1 for v in values)
+
+
+def test_integer_view_is_computed_once_per_row(monkeypatch):
+    calls = []
+    real_lcm = quadforms.lcm
+    monkeypatch.setattr(quadforms, "lcm", lambda *a: calls.append(a) or real_lcm(*a))
+    row = derive_formula((1, 2, 2, 1))
+    view = row.integer_view
+    for n in range(1, 30):
+        rep_count_formula(row, n)
+    assert row.integer_view is view
+    assert len(calls) == 1
+
+
+def test_evaluation_reads_only_the_integer_view_and_builds_one_fraction(monkeypatch):
+    made = []
+    monkeypatch.setattr(quadforms, "Fraction", lambda *a: made.append(a) or Fraction(*a))
+    for row in (derive_formula((1, 2, 2, 1)), _disputed_row()):
+        # values that fail on any arithmetic: only the cached view is read
+        blank = dataclasses.replace(
+            row, eisenstein=(None,) * len(row.eisenstein), cusp=(None,) * len(row.cusp)
+        )
+        blank.__dict__["integer_view"] = row.integer_view
+        for n in (1, 24, 60, 200):
+            made.clear()
+            assert rep_count_formula(blank, n) == _fraction_formula(row, n)
+            assert len(made) == 1
