@@ -19,7 +19,6 @@ from .arith import (
 from .characters import DirichletChar, chi, gen_bernoulli3, kronecker, sigma_twisted
 from .eisenstein import EisensteinSpec, eisenstein3, parse_e3
 from .etaq import (
-    Cusp,
     EtaQuotient,
     ModularityReport,
     character_of,
@@ -77,7 +76,6 @@ __all__ = [
     "EisensteinSpec",
     "eisenstein3",
     "parse_e3",
-    "Cusp",
     "EtaQuotient",
     "ModularityReport",
     "character_of",

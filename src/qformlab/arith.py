@@ -19,6 +19,11 @@ matrix (NumberFieldElement.matrix), a rational matrix: the inverse is
 read from one kernel, and the minimal polynomial is that of the
 matrix, as for a Hecke operator, the first dependency among the
 entries of 1, b, b^2, ...  There is no polynomial division.
+
+common_denominator is the one conversion of rationals to ints over
+their least common denominator; every int-arithmetic path (the span
+solver, the newform sums, the formula rows and minimal_polynomial
+here) reads its numerators from it.
 """
 
 from fractions import Fraction
@@ -42,6 +47,15 @@ def format_rational(x) -> str:
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" (inverse of format_rational)."""
     return Fraction(s.strip())
+
+
+def common_denominator(values):
+    """(den, numerators) of ints and Fractions: den their least common
+    denominator (1 for none), numerators the list of ints with
+    v = num / den for each v in order."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +410,8 @@ def minimal_polynomial(a):
         a = a.matrix()
     if a.rows != a.cols:
         raise ValueError("minimal polynomial of a %d x %d matrix" % (a.rows, a.cols))
-    den = lcm(*(e.denominator for e in a.entries))
-    b = [[int(e * den) for e in a.row(i)] for i in range(a.rows)]
+    den, nums = common_denominator(a.entries)
+    b = [nums[i : i + a.cols] for i in range(0, len(nums), a.cols)]
     bcols = list(zip(*b))
     power = [[int(i == j) for j in range(a.cols)] for i in range(a.rows)]
     columns = [sum(power, [])]

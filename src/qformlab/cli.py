@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import floor
+from math import ceil, floor
 
 from .arith import format_rational
 from .eisenstein import eisenstein3, parse_e3
@@ -49,6 +49,20 @@ _CHAR_CHOICES = SPACE_DISCRIMINANTS
 ENUMERATOR_MAX_N = 800  # default mode and --oracle: 5.7 s (1,1,1,1,1,1)
 FORMULA_CUSP_MAX_N = 10**4  # cusp expansions to q^n: 0.8 s (1,1,1,1,2,3)
 FORMULA_EISENSTEIN_MAX_N = 10**12  # divisor sums by trial division: 0.6 s (1,3,3,3,3,3)
+
+# Largest --precision, or expansion size, that each expanding subcommand
+# answers; past them it exits 2 before any work.  Slowest input at the
+# bound, whole command, on a 2-vCPU guest (Python 3.11):
+ETA_MAX_COEFFS = 3000  # q-steps precision + 1 - order: 1.9-3.1 s (eta1[-128])
+ETA_MAX_EXPONENT_SUM = 128  # sum |r_delta|; every census member has at most 108
+EISENSTEIN_MAX_PRECISION = 10**5  # 1.0-1.4 s (E3[-4,1,1], E3[-3,8,1])
+NEWFORMS_MAX_PRECISION = 2500  # all five newforms: 1.1-1.6 s
+REMARKS_MAX_PRECISION = 5000  # 0.9-1.2 s
+
+
+def _check_bound(what: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError("%s is %d, above the bound %d" % (what, value, bound))
 
 
 def _q_power(e: int) -> str:
@@ -110,6 +124,9 @@ def _cmd_eta_expand(args) -> int:
             "--precision %d is below the order at infinity %s of %s; use --precision %d or more"
             % (args.precision, format_rational(order), f.label(), floor(order))
         )
+    _check_bound("sum |r| of %s" % f.label(), sum(map(abs, f.exponents)), ETA_MAX_EXPONENT_SUM)
+    steps = ceil(args.precision + 1 - order)
+    _check_bound("the q-step count of --precision %d" % args.precision, steps, ETA_MAX_COEFFS)
     series = eta_quotient_expansion(f, GRADE * (args.precision + 1))
     payload = {"label": f.label(), "precision": args.precision}
     payload.update(_series_json(series))
@@ -152,6 +169,7 @@ def _cmd_eisenstein(args) -> int:
     spec = parse_e3(args.label)
     if args.precision < 0:
         raise ValueError("--precision must be nonnegative")
+    _check_bound("--precision", args.precision, EISENSTEIN_MAX_PRECISION)
     series = eisenstein3(spec.chi, spec.psi, spec.t, args.precision + 1)
     payload = {"label": spec.label(), "precision": args.precision}
     payload.update(_series_json(series))
@@ -333,6 +351,7 @@ def _cmd_verify_tables(args) -> int:
 def _cmd_verify_newforms(args) -> int:
     if args.precision < 13:
         raise ValueError("--precision must be at least 13")
+    _check_bound("--precision", args.precision, NEWFORMS_MAX_PRECISION)
     names = [s.name for s in NEWFORMS]
     if args.index is not None:
         if not 1 <= args.index <= len(names):
@@ -420,6 +439,7 @@ def _cmd_census(args) -> int:
 def _cmd_verify_remarks(args) -> int:
     if args.precision < 13:
         raise ValueError("--precision must be at least 13")
+    _check_bound("--precision", args.precision, REMARKS_MAX_PRECISION)
     reports = verify_remark_identities(args.precision + 1)
     lines = []
     payload = {}

@@ -20,7 +20,6 @@ from .characters import chi
 
 __all__ = [
     "EtaQuotient",
-    "Cusp",
     "ModularityReport",
     "divisors",
     "cusp_order",
@@ -157,34 +156,13 @@ def parse_eta(text: str) -> EtaQuotient:
     return EtaQuotient(level, exps)
 
 
-@dataclass(frozen=True)
-class Cusp:
-    """Cusp a/c of Gamma_0(N); eta-quotient orders depend only on c | N."""
-
-    denominator: int
-    level: int
-
-    def __post_init__(self):
-        if self.level % self.denominator:
-            raise ValueError("cusp denominator must divide the level")
-
-    @staticmethod
-    def representatives(level: int) -> tuple:
-        return tuple(Cusp(c, level) for c in divisors(level))
-
-    def __str__(self):
-        return "1/%d" % self.denominator
-
-
-def cusp_order(f: EtaQuotient, c) -> Fraction:
+def cusp_order(f: EtaQuotient, c: int) -> Fraction:
     """Order of f at any cusp with denominator c, in local-variable units.
 
     The order is N / (24 gcd(c^2, N)) * sum gcd(delta, c)^2 r_delta / delta,
     summed in integers with the per-level weights of `_order_weights` and
     divided once at the end.
     """
-    if isinstance(c, Cusp):
-        c = c.denominator
     n = f.level
     if n % c:
         raise ValueError("cusp denominator %d must divide the level %d" % (c, n))

@@ -16,7 +16,7 @@ against transcription slips in the printed combinations.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .arith import (
     ExactMatrix,
@@ -24,6 +24,7 @@ from .arith import (
     NumberField,
     NumberFieldElement,
     UNIQUE,
+    common_denominator,
     minimal_polynomial,
 )
 from .characters import chi
@@ -146,17 +147,13 @@ def _combine(scalars, cusp, precision: int) -> QSeries:
         return QSeries.zero(trunc)
     field = next((x.field for x, _ in used if isinstance(x, NumberFieldElement)), None)
     d = 1 if field is None else field.degree
-    coords = [
-        x.coeffs if isinstance(x, NumberFieldElement) else (Fraction(x),) + (Fraction(0),) * (d - 1)
-        for x, _ in used
-    ]
-    dens = [lcm(*(c[k].denominator for c in coords)) for k in range(d)]
+    coords = [x.coeffs if isinstance(x, NumberFieldElement) else (x,) + (0,) * (d - 1) for x, _ in used]
+    dens, weights = zip(*(common_denominator(c[k] for c in coords) for k in range(d)))
     sums = [[0] * precision for _ in range(d)]
-    for xs, (_, s) in zip(coords, used):
+    for ws, (_, s) in zip(zip(*weights), used):
         lo = s.val // GRADE
         terms = [(n, c) for n, c in enumerate(s.coeffs[: max(0, precision - lo)], lo) if c]
-        for x, den, row in zip(xs, dens, sums):
-            w = x.numerator * (den // x.denominator)
+        for w, row in zip(ws, sums):
             if w:
                 for n, c in terms:
                     row[n] += w * c
@@ -288,10 +285,10 @@ def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
             if n % p == 0:
                 b = b + char(p) * p * p * series.qcoeff(n // p)
             image.append(b)
-        sol = solver.solve(image)
-        if sol is None or any(sol[: solver.ne]):
+        nums = solver.numerators(image)
+        if nums is None or any(nums[: solver.ne]):
             raise ValueError("Hecke image left the cusp span (%s)" % INCONSISTENT)
-        columns.append(sol[solver.ne:])
+        columns.append([Fraction(v, solver.den) for v in nums[solver.ne :]])
     return ExactMatrix.from_rows(
         [[columns[j][i] for j in range(nc)] for i in range(nc)]
     )

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from math import isqrt, lcm
+from math import isqrt
 
+from .arith import common_denominator
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient
 from .qseries import GRADE, QSeries, eta_quotient_expansion
@@ -177,9 +178,8 @@ class FormulaRow:
     def integer_view(self) -> tuple:
         """(den, numerators): values() as ints over their least common
         denominator, computed once per row."""
-        values = self.values()
-        den = lcm(*(v.denominator for v in values))
-        return den, tuple(v.numerator * (den // v.denominator) for v in values)
+        den, nums = common_denominator(self.values())
+        return den, tuple(nums)
 
 
 def derive_formula(exponents, precision: int = 61) -> FormulaRow:

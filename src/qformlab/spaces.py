@@ -12,10 +12,9 @@ coefficients are then verified, not assumed.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from operator import mul
 
-from .arith import ExactMatrix, INCONSISTENT
+from .arith import ExactMatrix, INCONSISTENT, common_denominator
 from .characters import DirichletChar, chi
 from .eisenstein import EisensteinSpec, eisenstein3
 from .etaq import EtaQuotient, ModularityReport, ligozat_check
@@ -231,12 +230,6 @@ def first_deviation(f: QSeries, coords, expansions, start: int, stop: int, den=1
     return None
 
 
-def _integer_row(z):
-    """A rational row scaled by the lcm of its denominators to ints."""
-    m = lcm(*(v.denominator for v in z))
-    return [int(v * m) for v in z]
-
-
 class _SpanSolver:
     """Exact membership test for the span of a space's basis columns.
 
@@ -256,12 +249,14 @@ class _SpanSolver:
     cusp numerators vanish, and in the cusp span when its Eisenstein
     numerators vanish.  The left kernel of the Eisenstein columns alone
     is spanned by K and the rows of L at the cusp columns
-    (`eisenstein_kernel`); reduced from the right, its rows end at
-    distinct, increasing indices, and its first row `first` is the one
-    dependency among the shortest dependent prefix of sampled rows of
-    the Eisenstein columns.  `reach` is that
-    prefix's length: a y whose first `reach` entries are known already
-    meets `first`, and most y outside the Eisenstein span fail it there.
+    (`eisenstein_kernel`).  One vector of that kernel, `first`, is the
+    first kernel_basis vector of the transposed Eisenstein samples, scaled
+    to integers: it ends at its free column, the first sampled row that
+    depends on the rows before it, so it is the one dependency among the
+    shortest dependent prefix of sampled rows.  `reach`, that column + 1,
+    is the prefix's length: a y whose first `reach` entries are known
+    already meets `first`, and most y outside the Eisenstein span fail it
+    there.
     """
 
     def __init__(self, columns, ne):
@@ -270,15 +265,14 @@ class _SpanSolver:
         self.rows = range(sturm_bound() + 1)
         self.samples = [[c.qcoeff(n) for c in columns] for n in self.rows]
         inverse, kernel = ExactMatrix.from_rows(self.samples).left_factor()
-        self.kernel = [_integer_row(z) for z in kernel]
-        self.den = lcm(*(v.denominator for row in inverse for v in row))
-        self.left_inverse = [[int(v * self.den) for v in row] for row in inverse]
+        self.kernel = [common_denominator(z)[1] for z in kernel]
+        self.den, nums = common_denominator(v for row in inverse for v in row)
+        width = len(self.rows)
+        self.left_inverse = [nums[i : i + width] for i in range(0, len(nums), width)]
         # cusp rows first: most candidates off the Eisenstein span fail one
         self.eisenstein_kernel = self.left_inverse[ne:] + self.kernel
-        # Gauss-Jordan on the reversed rows: pivots move left to right
-        # there, so the last row ends first here
-        reduced, _ = ExactMatrix.from_rows([z[::-1] for z in self.eisenstein_kernel])._reduce()
-        self.first = _integer_row(reduced[-1][::-1])
+        eisenstein = ExactMatrix.from_rows(list(zip(*self.samples))[:ne])
+        self.first = common_denominator(eisenstein.kernel_basis()[0])[1]
         self.reach = max(i for i, v in enumerate(self.first) if v) + 1
 
     def numerators(self, y):
@@ -296,13 +290,6 @@ class _SpanSolver:
             if sum(map(mul, z, y)):
                 return None
         return [sum(map(mul, row, y)) for row in self.left_inverse[: self.ne]]
-
-    def solve(self, y):
-        """Coordinates x with A x = y on all sampled rows, or None."""
-        nums = self.numerators(y)
-        if nums is None:
-            return None
-        return tuple(Fraction(v, self.den) for v in nums)
 
 
 _SOLVERS: dict = {}  # discriminant -> _SpanSolver

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qformlab import newforms
 from qformlab.arith import (
@@ -10,6 +10,7 @@ from qformlab.arith import (
     UNIQUE,
     ExactMatrix,
     NumberField,
+    common_denominator,
     format_rational,
     minimal_polynomial,
     parse_rational,
@@ -301,6 +302,37 @@ def test_zero_divisor_pivot_raises():
     a = NumberField((-1, 0, 1)).generator()
     with pytest.raises(ZeroDivisionError):
         ExactMatrix.from_rows([[a - 1, 0]]).kernel_basis()
+
+
+# every prime factor of a denominator drawn below is at most 60
+_SMALL_PRIMES = [p for p in range(2, 61) if all(p % q for q in range(2, p))]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-10**6, max_value=10**6),
+            st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+        ),
+        max_size=12,
+    )
+)
+@example([])
+@example([3, -7, 0])
+@example([Fraction(1, 6), Fraction(-3, 4), 2])
+def test_common_denominator_is_the_least(values):
+    den, nums = common_denominator(values)
+    assert type(den) is int and den >= 1
+    assert len(nums) == len(values)
+    assert all(type(num) is int and den * v == num for v, num in zip(values, nums))
+    # no prime p | den leaves den / p a common denominator
+    rest = den
+    for p in _SMALL_PRIMES:
+        if den % p == 0:
+            assert any((den // p * Fraction(v)).denominator != 1 for v in values)
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1
 
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=97))

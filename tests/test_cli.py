@@ -1,13 +1,21 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from qformlab import cli, newforms
 from qformlab.cli import (
+    EISENSTEIN_MAX_PRECISION,
     ENUMERATOR_MAX_N,
+    ETA_MAX_COEFFS,
+    ETA_MAX_EXPONENT_SUM,
     FORMULA_CUSP_MAX_N,
     FORMULA_EISENSTEIN_MAX_N,
+    NEWFORMS_MAX_PRECISION,
+    REMARKS_MAX_PRECISION,
     main,
 )
 
@@ -168,6 +176,107 @@ def test_rep_count_bounds_order():
     # the default mode checks both sides, so the enumerator bound is the
     # one it meets first
     assert ENUMERATOR_MAX_N < FORMULA_CUSP_MAX_N < FORMULA_EISENSTEIN_MAX_N
+
+
+# eta1[-128] has order -16/3, so --precision P asks for P + 7 q-steps
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        # 41867 coefficients; at 1000 or 3000 of them the kernel took 3 s
+        # or 63 s, since their size grows with the exponents
+        (("eta-expand", "eta1[-1000000]", "--precision", "200"), ETA_MAX_EXPONENT_SUM),
+        (("eta-expand", "eta1[-1000000]", "--precision", "-40668"), ETA_MAX_EXPONENT_SUM),
+        (("eta-expand", "eta1[-1000000]", "--precision", "-38668"), ETA_MAX_EXPONENT_SUM),
+        (("eta-expand", "eta1[-1000]", "--precision", "4957"), ETA_MAX_EXPONENT_SUM),
+        (("eta-expand", "eta1[-%d]" % (ETA_MAX_EXPONENT_SUM + 1), "--precision", "0"), ETA_MAX_EXPONENT_SUM),
+        (("eta-expand", "eta1[-24]", "--precision", "7998"), ETA_MAX_COEFFS),
+        (("eta-expand", "eta1[24]", "--precision", "20000"), ETA_MAX_COEFFS),
+        (("eta-expand", "eta24[0,3,0,-4,-5,2,16,-6]", "--precision", "10000"), ETA_MAX_COEFFS),
+        (("eta-expand", "eta1[-128]", "--precision", str(ETA_MAX_COEFFS - 6)), ETA_MAX_COEFFS),
+        (("eta-expand", "eta24[0,3,0,-4,-5,2,16,-6]", "--precision", str(ETA_MAX_COEFFS + 1)), ETA_MAX_COEFFS),
+        (("eisenstein", "E3[-4,1,1]", "--precision", "1000000"), EISENSTEIN_MAX_PRECISION),
+        (("eisenstein", "E3[-4,1,1]", "--precision", "200000"), EISENSTEIN_MAX_PRECISION),
+        (("eisenstein", "E3[-4,1,1]", "--precision", str(EISENSTEIN_MAX_PRECISION + 1)), EISENSTEIN_MAX_PRECISION),
+        (("verify-newforms", "--precision", "5000"), NEWFORMS_MAX_PRECISION),
+        (("verify-newforms", "--precision", str(NEWFORMS_MAX_PRECISION + 1)), NEWFORMS_MAX_PRECISION),
+        (("verify-remarks", "--precision", "20000"), REMARKS_MAX_PRECISION),
+        (("verify-remarks", "--precision", "10000"), REMARKS_MAX_PRECISION),
+        (("verify-remarks", "--precision", str(REMARKS_MAX_PRECISION + 1)), REMARKS_MAX_PRECISION),
+    ],
+)
+def test_precision_past_its_bound_exits_2_at_once(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "bound %d" % bound in err
+
+
+def test_precision_bounds_cover_the_certificates():
+    # the certificate precisions the benchmark runs, and the largest
+    # census exponent sum, lie inside the bounds
+    assert 250 <= NEWFORMS_MAX_PRECISION and 600 <= REMARKS_MAX_PRECISION
+    assert ETA_MAX_EXPONENT_SUM >= 108
+
+
+# each bound lowered to a cheap value: the bound itself is answered and
+# one past it refused; eta1[-24] has order -1, so --precision P asks for
+# P + 2 q-steps
+@pytest.mark.parametrize(
+    "bound, value, at, past",
+    [
+        ("ETA_MAX_COEFFS", 20, ("eta-expand", "eta1[-24]", "--precision", "18"),
+         ("eta-expand", "eta1[-24]", "--precision", "19")),
+        ("ETA_MAX_EXPONENT_SUM", 24, ("eta-expand", "eta1[-24]"), ("eta-expand", "eta2[-24,1]")),
+        ("EISENSTEIN_MAX_PRECISION", 20, ("eisenstein", "E3[-4,1,1]", "--precision", "20"),
+         ("eisenstein", "E3[-4,1,1]", "--precision", "21")),
+        ("NEWFORMS_MAX_PRECISION", 20, ("verify-newforms", "--index", "3", "--precision", "20"),
+         ("verify-newforms", "--index", "3", "--precision", "21")),
+        ("REMARKS_MAX_PRECISION", 20, ("verify-remarks", "--precision", "20"),
+         ("verify-remarks", "--precision", "21")),
+    ],
+)
+def test_precision_bound_is_inclusive(capsys, monkeypatch, bound, value, at, past):
+    monkeypatch.setattr(cli, bound, value)
+    assert run_cli(capsys, *at)[0] == 0
+    code, out, err = run_cli(capsys, *past)
+    assert code == 2 and out == ""
+    assert "above the bound %d" % value in err
+
+
+def test_verify_newforms_falls_back_to_rederivation(capsys, monkeypatch):
+    # f2 with one printed coordinate moved fails its Hecke check; the
+    # rederivation from T_5 still finds the field and a Hecke eigenform,
+    # whose eigenvalue polynomial is not that of the moved combo
+    spec = newforms.get_spec("f2")
+    combo = (spec.combo[0], (3, 1)) + spec.combo[2:]
+    assert spec.combo[1] == (2, 1)
+    moved = dataclasses.replace(spec, combo=combo)
+    monkeypatch.setattr(
+        newforms, "NEWFORMS", tuple(moved if s.name == "f2" else s for s in newforms.NEWFORMS)
+    )
+    code, out, _ = run_cli(capsys, "verify-newforms", "--index", "2", "--precision", "60")
+    assert code == 1
+    assert out.splitlines() == [
+        "f2: hecke FAIL (a(1) ok, 40 coprime pairs, p^2 relations 5:FAIL,7:FAIL)",
+        "  fallback T_5: field ['528', '0', '72', '0', '1'], hecke ok, printed-minpoly match False (ok)",
+    ]
+    code, out, _ = run_cli(capsys, "verify-newforms", "--index", "2", "--precision", "60", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "f2": {
+            "fallback": {
+                "operator": [5],
+                "field_poly": ["528", "0", "72", "0", "1"],
+                "hecke_ok": True,
+                "matches_printed_minpoly": False,
+                "note": "ok",
+            },
+            "hecke_ok": False,
+            "pairs_checked": 40,
+        }
+    }
 
 
 def test_basis_dump(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from qformlab.characters import chi
 
 from qformlab.etaq import (
-    Cusp,
     EtaQuotient,
     character_of,
     cusp_order,
@@ -67,14 +66,6 @@ def test_lifted():
         f.lifted(10)
 
 
-def test_cusp_representatives():
-    reps = Cusp.representatives(24)
-    assert tuple(c.denominator for c in reps) == divisors(24)
-    assert str(reps[3]) == "1/4"
-    with pytest.raises(ValueError):
-        Cusp(5, 24)
-
-
 def test_cusp_order_single_eta_factors():
     f = EtaQuotient(24, {1: 1})
     assert cusp_order(f, 1) == 1
@@ -83,7 +74,9 @@ def test_cusp_order_single_eta_factors():
     assert cusp_order(g, 1) == Fraction(1, 24)
     assert cusp_order(g, 24) == 1
     # c = 4, delta = 24: (24 / (24 gcd(16,24))) * gcd(24,4)^2 / 24
-    assert cusp_order(g, Cusp(4, 24)) == Fraction(1, 12)
+    assert cusp_order(g, 4) == Fraction(1, 12)
+    with pytest.raises(ValueError, match="must divide the level"):
+        cusp_order(g, 5)
 
 
 def test_cusp_order_additive_in_exponents():
@@ -118,7 +111,6 @@ def test_cusp_order_matches_textbook_formula(f):
             (Fraction(gcd(d, c) ** 2 * r, d) for d, r in f.items()), Fraction(0)
         )
         assert cusp_order(f, c) == ref
-        assert cusp_order(f, Cusp(c, n)) == ref
 
 
 def test_character_of_examples():

@@ -186,6 +186,12 @@ def test_eisenstein_expressible_rejects_orders_outside_the_sturm_range():
         assert eisenstein_expressible(f) is None
 
 
+def _coordinates(solver, y):
+    """The solver's coordinates of y over the whole basis, or None."""
+    nums = solver.numerators(y)
+    return None if nums is None else tuple(Fraction(v, solver.den) for v in nums)
+
+
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_recovers_seeded_combinations(disc):
     # seeded combinations of the Eisenstein columns come back with zero
@@ -196,7 +202,7 @@ def test_span_solver_recovers_seeded_combinations(disc):
     eisenstein = [row[:ne] for row in solver.samples]
     x = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(ne))
     y = [sum(map(mul, row, x)) for row in eisenstein]
-    assert solver.solve(y) == x + (0,) * (len(solver.columns) - ne)
+    assert _coordinates(solver, y) == x + (0,) * (len(solver.columns) - ne)
     # moving one sampled coefficient leaves the Eisenstein span, unless
     # that unit vector itself lies in it (q^0, q^4, q^8, q^12 for chi(-3))
     reference = ExactMatrix.from_rows(eisenstein)
@@ -205,7 +211,7 @@ def test_span_solver_recovers_seeded_combinations(disc):
         moved = list(y)
         moved[i] += 1
         status, sol = reference.solve_linear(moved)
-        got = solver.solve(moved)
+        got = _coordinates(solver, moved)
         if status == UNIQUE:
             assert got[:ne] == tuple(sol) != x
             assert not any(got[ne:])

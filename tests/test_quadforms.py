@@ -330,8 +330,8 @@ def test_integer_view_is_the_least_common_denominator(rows):
 
 def test_integer_view_is_computed_once_per_row(monkeypatch):
     calls = []
-    real_lcm = quadforms.lcm
-    monkeypatch.setattr(quadforms, "lcm", lambda *a: calls.append(a) or real_lcm(*a))
+    real = quadforms.common_denominator
+    monkeypatch.setattr(quadforms, "common_denominator", lambda v: calls.append(v) or real(v))
     row = derive_formula((1, 2, 2, 1))
     view = row.integer_view
     for n in range(1, 30):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -221,7 +222,8 @@ def _part(solver, part):
 def _coordinates(solver, part, y):
     """The solver's coordinates of y over one column set: None unless y
     is in the span of the basis with zero coordinates off the set."""
-    sol = solver.solve(y)
+    nums = solver.numerators(y)
+    sol = None if nums is None else tuple(Fraction(v, solver.den) for v in nums)
     cols, _ = _part(solver, part)
     if sol is None or any(v for j, v in enumerate(sol) if j not in cols):
         sol = None
@@ -329,6 +331,36 @@ def test_first_row_matches_an_eisenstein_only_factorization(disc):
     first = _right_reduced(kernel)[0]
     assert first == solver.first
     assert max(i for i, v in enumerate(first) if v) + 1 == solver.reach == EISENSTEIN_REACH[disc]
+
+
+# SHA-256 of repr((den, left_inverse, kernel, eisenstein_kernel, first,
+# reach)), rows as int lists, recorded on the solver that found `first`
+# by reducing the reversed kernel rows
+SOLVER_DIGESTS = {
+    -3: "4245d00f42d79b6bc23c2223d30c41aaafac3b5ec07e2da9defb31d3bb7c5de1",
+    -4: "9a8c47cda67d5d0cdae9eea56ac49f00c764431568957ac0f78273b3fdb12150",
+    -8: "22ac1ddceffd3eb0f04ec1275afdff303651f12930147748c28742a81000e86c",
+    -24: "348923e2314f05c64a27ef0b454b6744fcbe155e526c27a307d41e024cdefdb9",
+}
+
+
+@pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
+def test_span_solver_integers_are_pinned(disc):
+    solver = span_solver(disc)
+
+    def ints(row):
+        assert all(type(v) is int for v in row)
+        return list(row)
+
+    payload = (
+        solver.den,
+        [ints(r) for r in solver.left_inverse],
+        [ints(r) for r in solver.kernel],
+        [ints(r) for r in solver.eisenstein_kernel],
+        ints(solver.first),
+        solver.reach,
+    )
+    assert hashlib.sha256(repr(payload).encode()).hexdigest() == SOLVER_DIGESTS[disc]
 
 
 def _counted_left_factor(monkeypatch):
