@@ -105,7 +105,7 @@ def _series_json(series):
             [str(Fraction(e, GRADE)), format_rational(c)]
             for e, c in series.terms()
         ],
-        "o_term": str(Fraction(series.trunc, GRADE)),
+        "o_term": str(series.qprecision()),
     }
 
 
@@ -127,7 +127,7 @@ def _cmd_eta_expand(args) -> int:
     _check_bound("sum |r| of %s" % f.label(), sum(map(abs, f.exponents)), ETA_MAX_EXPONENT_SUM)
     steps = ceil(args.precision + 1 - order)
     _check_bound("the q-step count of --precision %d" % args.precision, steps, ETA_MAX_COEFFS)
-    series = eta_quotient_expansion(f, GRADE * (args.precision + 1))
+    series = eta_quotient_expansion(f, args.precision + 1)
     payload = {"label": f.label(), "precision": args.precision}
     payload.update(_series_json(series))
     _emit(args, payload, "%s = %s" % (f.label(), format_series(series)))
@@ -364,9 +364,8 @@ def _cmd_verify_newforms(args) -> int:
     for name in names:
         entry = {}
         if name == "f1":
-            ref = f1_reference(10)
             built = build_newform("f1", max(count, 10))
-            ref_ok = all(built.qcoeff(n) == ref.qcoeff(n) for n in range(10))
+            ref_ok = all(built.qcoeff(n) == c for n, c in enumerate(f1_reference()))
             combo = solve_back_f1()
             solve_ok = combo == get_spec("f1").scalars()
             entry["reference_ok"] = ref_ok

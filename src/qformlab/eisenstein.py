@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletChar, chi, gen_bernoulli3, sigma_twisted_table
-from .qseries import GRADE, QSeries
+from .qseries import QSeries
 
 __all__ = ["EisensteinSpec", "eisenstein3", "parse_e3"]
 
@@ -51,7 +51,7 @@ def eisenstein3(chi_char: DirichletChar, psi: DirichletChar, t: int = 1,
     coeffs = [0] * precision
     coeffs[::t] = sigma_twisted_table(2, chi_char, psi, (precision - 1) // t + 1)
     coeffs[0] = spec.constant_term()
-    return QSeries(0, coeffs, GRADE * precision)
+    return QSeries(coeffs, precision)
 
 
 _E3_LABEL = re.compile(r"^E3\[(-?\d+),(-?\d+)(?:,(\d+))?\]$")

@@ -25,7 +25,7 @@ from math import gcd
 from operator import add, mul
 
 from .characters import DirichletChar, chi, sigma_twisted_table
-from .etaq import EtaQuotient, character_of, cusp_order, divisors, ligozat_check, parse_eta
+from .etaq import EtaQuotient, _order_weights, character_of, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, _extend, eta_quotient_expansion
 # _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
 from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, first_deviation, span_solver, sturm_bound
@@ -48,20 +48,16 @@ DIVISORS24 = tuple(divisors(24))  # (1, 2, 3, 4, 6, 8, 12, 24)
 def _order_matrix():
     """24 times the cusp-order pairing: rows cusps c | 24, columns delta | 24.
 
-    Entry [c][delta] is 24 * (order at 1/c of eta(delta z)); every column
-    sums to 48, so the eight orders of a weight-3 quotient always total 12.
+    Entry [c][delta] is 24 * (order at 1/c of eta(delta z)), that is
+    24 w // den for the order weights w and denominator den of `etaq`;
+    every column sums to 48, so the eight orders of a weight-3 quotient
+    always total 12.
     """
     rows = []
-    for c in DIVISORS24:
-        row = []
-        for i, d in enumerate(DIVISORS24):
-            exps = [0] * 8
-            exps[i] = 1
-            v = 24 * cusp_order(EtaQuotient(24, exps), c)
-            if v.denominator != 1:
-                raise AssertionError("non-integral scaled cusp order")
-            row.append(v.numerator)
-        rows.append(row)
+    for weights, den in _order_weights(24).values():
+        if any(24 * w % den for w in weights):
+            raise AssertionError("non-integral scaled cusp order")
+        rows.append([24 * w // den for w in weights])
     return rows
 
 
@@ -277,7 +273,7 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     if nums is None:
         return None
     _extend(key, a, g, 61 - lead)
-    full = QSeries(val, a, GRADE * 61)
+    full = QSeries(a, 61, val)
     if first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
         return None
     return tuple(Fraction(v, solver.den) for v in nums)
@@ -376,7 +372,7 @@ def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
     scale = identity.scale
     sums = _divisor_sums(identity, precision)
     coeffs = [identity.constant] + [scale * v if v else 0 for v in sums[1:]]
-    return QSeries(0, coeffs, GRADE * precision)
+    return QSeries(coeffs, precision)
 
 
 @dataclass(frozen=True)
@@ -396,11 +392,11 @@ def verify_remark_identities(precision: int = 61):
     """
     reports = []
     for ident in REMARK_IDENTITIES:
-        lhs = eta_quotient_expansion(parse_eta(ident.label), GRADE * precision)
+        lhs = eta_quotient_expansion(parse_eta(ident.label), precision)
         if lhs.qcoeff(0) != ident.constant:
             mismatch = 0
         else:
-            sums = QSeries(0, _divisor_sums(ident, precision), GRADE * precision)
+            sums = QSeries(_divisor_sums(ident, precision), precision)
             num, den = ident.scale.numerator, ident.scale.denominator
             mismatch = first_deviation(lhs, (num,), (sums,), 1, precision, den)
         reports.append(

@@ -119,10 +119,10 @@ def get_spec(name: str) -> NewformSpec:
 
 
 def _cusp_expansions(disc: int, precision: int):
-    """The space basis and its cusp expansions cut to q^(precision-1)."""
+    """The space basis and its cached cusp expansions, each known at
+    least through q^(precision-1); readers stop at their own precision."""
     basis = build_basis(disc)
-    cusp = basis_expansions(basis, precision, "cusp")[len(basis.eisenstein):]
-    return basis, tuple(e.truncated(GRADE * precision) for e in cusp)
+    return basis, basis_expansions(basis, precision, "cusp")[len(basis.eisenstein):]
 
 
 def _combine(scalars, cusp, precision: int) -> QSeries:
@@ -142,9 +142,8 @@ def _combine(scalars, cusp, precision: int) -> QSeries:
     reduced.
     """
     used = [(x, s) for x, s in zip(scalars, cusp) if x]
-    trunc = GRADE * precision
     if not used:
-        return QSeries.zero(trunc)
+        return QSeries.zero(precision)
     field = next((x.field for x, _ in used if isinstance(x, NumberFieldElement)), None)
     d = 1 if field is None else field.degree
     coords = [x.coeffs if isinstance(x, NumberFieldElement) else (x,) + (0,) * (d - 1) for x, _ in used]
@@ -166,7 +165,7 @@ def _combine(scalars, cusp, precision: int) -> QSeries:
             NumberFieldElement(field, tuple(map(Fraction, col, dens))) if any(col) else 0
             for col in zip(*sums)
         ]
-    return QSeries(0, out, trunc)
+    return QSeries(out, precision)
 
 
 def build_newform(name: str, precision: int = 120) -> QSeries:
@@ -176,28 +175,21 @@ def build_newform(name: str, precision: int = 120) -> QSeries:
     return _combine(spec.scalars(), cusp, precision)
 
 
-def f1_reference(precision: int = 10) -> QSeries:
-    """The tabulated chi(-3) newform through q^9: q + a q^3 + (-2a+2) q^5
-    - 6 q^7 + (2a-9) q^9, with a the K1 generator; even coefficients 0."""
+def f1_reference() -> tuple:
+    """The tabulated chi(-3) newform's coefficients at q^0..q^9:
+    q + a q^3 + (-2a+2) q^5 - 6 q^7 + (2a-9) q^9, with a the K1
+    generator; even coefficients 0."""
     a = K1.generator()
-    terms = [
-        (1 * GRADE, K1.one()),
-        (3 * GRADE, a),
-        (5 * GRADE, -2 * a + 2),
-        (7 * GRADE, -6 * a**0),
-        (9 * GRADE, 2 * a - 9),
-    ]
-    return QSeries.from_terms(terms, GRADE * precision)
+    return (0, K1.one(), 0, a, 0, -2 * a + 2, 0, -6 * a**0, 0, 2 * a - 9)
 
 
 def solve_back_f1():
     """Recover the f1 combo from the ten reference coefficients alone."""
-    ref = f1_reference(10)
     _, cusp = _cusp_expansions(-3, 10)
     mat = ExactMatrix.from_rows(
         [[e.qcoeff(n) for e in cusp] for n in range(10)]
     )
-    status, sol = mat.solve_linear([ref.qcoeff(n) for n in range(10)])
+    status, sol = mat.solve_linear(f1_reference())
     if status != UNIQUE:
         raise ValueError("reference coefficients do not pin the combo (%s)" % status)
     return tuple(sol)

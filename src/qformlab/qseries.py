@@ -6,8 +6,10 @@ power series in q (Koehler, Eta Products and Theta Series Identities,
 2011), and Eisenstein series, theta series and newforms have v = 0.
 So a series stores its valuation v in grade-24 units and then one
 coefficient per q-step: coefficient i stands at q^((v + 24 i)/24).
-Truncation is data carried by every series: coefficients at grade-24
-exponents at or beyond `trunc` are unknown (not zero).
+Precision is counted in whole powers of q: a series of precision P is
+known below q^P, and its coefficients at or beyond q^P are unknown (not
+zero).  Every constructor and expansion takes that q-step count; the
+grade-24 unit stays inside this module, in `val` and `trunc` = 24 P.
 
 `QSeries` is a container, not a ring: every expansion is computed as
 one coefficient list (the integer eta kernel below, `eisenstein3`,
@@ -25,24 +27,26 @@ from .etaq import EtaQuotient
 GRADE = 24
 
 
-def _steps(val: int, trunc: int) -> int:
-    """Number of q-steps val, val + 24, ... that lie below trunc."""
-    return max(0, (trunc - val + GRADE - 1) // GRADE)
+def _steps(val: int, precision: int) -> int:
+    """Number of grade-24 exponents val, val + 24, ... below q^precision."""
+    return max(0, precision - val // GRADE)
 
 
 class QSeries:
-    """A series sum_i c_i q^((val + 24 i)/24), known below q^(trunc/24).
+    """A series sum_i c_i q^((val + 24 i)/24), known below q^precision.
 
     `coeffs[i]` is the coefficient at grade-24 exponent val + 24 i, so
-    all exponents of one series agree mod 24.  The all-zero
-    representation uses val == trunc with no stored coefficients;
-    otherwise the coefficient at val is nonzero.
+    all exponents of one series agree mod 24, and `trunc` = 24 precision
+    is the grade-24 exponent where the unknown part starts.  The
+    all-zero representation uses val == trunc with no stored
+    coefficients; otherwise the coefficient at val is nonzero.
     """
 
     __slots__ = ("val", "coeffs", "trunc")
 
-    def __init__(self, val: int, coeffs, trunc: int):
+    def __init__(self, coeffs, precision: int, val: int = 0):
         coeffs = list(coeffs)
+        trunc = GRADE * precision
         # strip leading zeros (they are known zeros below the valuation)
         i = 0
         while i < len(coeffs) and not coeffs[i]:
@@ -54,10 +58,8 @@ class QSeries:
             coeffs.pop()
         if not coeffs:
             val = trunc
-        if len(coeffs) > _steps(val, trunc):
+        if len(coeffs) > _steps(val, precision):
             raise ValueError("coefficients extend past the truncation")
-        if trunc < val:
-            raise ValueError("truncation below valuation")
         self.val = val
         self.coeffs = tuple(coeffs)
         self.trunc = trunc
@@ -65,24 +67,8 @@ class QSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc: int) -> "QSeries":
-        return cls(trunc, (), trunc)
-
-    @classmethod
-    def from_terms(cls, terms, trunc: int) -> "QSeries":
-        """terms: iterable of (grade-24 exponent, coefficient), all
-        exponents in one residue class mod 24."""
-        terms = sorted((e, c) for e, c in terms if c)
-        if not terms:
-            return cls.zero(trunc)
-        val = terms[0][0]
-        coeffs = [0] * ((terms[-1][0] - val) // GRADE + 1)
-        for e, c in terms:
-            i, r = divmod(e - val, GRADE)
-            if r:
-                raise ValueError("exponents %d and %d differ mod %d" % (val, e, GRADE))
-            coeffs[i] = coeffs[i] + c
-        return cls(val, coeffs, trunc)
+    def zero(cls, precision: int) -> "QSeries":
+        return cls((), precision)
 
     # -- coefficient access -------------------------------------------
 
@@ -100,8 +86,8 @@ class QSeries:
         return self.coeff(GRADE * n)
 
     def qprecision(self) -> int:
-        """Largest P such that all of q^0 .. q^(P-1) are known."""
-        return (self.trunc + GRADE - 1) // GRADE
+        """The precision P: q^0 .. q^(P-1) are known."""
+        return self.trunc // GRADE
 
     def terms(self):
         """Nonzero (grade-24 exponent, coefficient) pairs in order."""
@@ -112,12 +98,6 @@ class QSeries:
     def is_integer_q(self) -> bool:
         """True when every exponent sits at a multiple of 24."""
         return self.val % GRADE == 0
-
-    def truncated(self, trunc: int) -> "QSeries":
-        """The same series known only below grade-24 exponent trunc."""
-        if trunc > self.trunc:
-            raise ValueError("truncation %d beyond the known %d" % (trunc, self.trunc))
-        return QSeries(self.val, self.coeffs[: _steps(self.val, trunc)], trunc)
 
     # -- comparison ----------------------------------------------------
 
@@ -134,7 +114,7 @@ class QSeries:
     def __repr__(self):
         terms = list(self.terms())
         head = ", ".join("q^(%d/24)*%r" % t for t in terms[:4])
-        return "QSeries(%s%s; trunc=%d)" % (head, "..." if len(terms) > 4 else "", self.trunc)
+        return "QSeries(%s%s; precision=%d)" % (head, "..." if len(terms) > 4 else "", self.qprecision())
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +335,18 @@ def eta_unit_coeffs(exponents_by_divisor, L: int):
 # ---------------------------------------------------------------------------
 
 def eta_expansion(delta: int, precision: int) -> QSeries:
-    """q^(delta/24) prod_{n>=1} (1 - q^(delta n)), truncated at grade-24
-    exponent `precision` (exclusive)."""
+    """q^(delta/24) prod_{n>=1} (1 - q^(delta n)), known below q^precision."""
     if delta < 1:
         raise ValueError("delta must be a positive integer")
-    if precision <= delta:
-        raise ValueError("precision must exceed the valuation delta")
     n = _steps(delta, precision)
     coeffs = [0] * n
     coeffs[::delta] = euler_coeffs((n + delta - 1) // delta)
-    return QSeries(delta, coeffs, precision)
+    return QSeries(coeffs, precision, delta)
 
 
 def eta_quotient_expansion(f: EtaQuotient, precision: int) -> QSeries:
-    """Expansion of prod eta^{r_delta}(delta z) to grade-24 exponent
-    `precision` (exclusive); valuation is sum(delta * r_delta)."""
+    """Expansion of prod eta^{r_delta}(delta z), known below q^precision;
+    its grade-24 valuation is sum(delta * r_delta), and a precision at or
+    below the order at infinity gives the zero series."""
     val = sum(d * r for d, r in f.items())
-    if precision <= val:
-        raise ValueError("precision %d does not exceed the valuation %d" % (precision, val))
-    return QSeries(val, eta_unit_coeffs(f.items(), _steps(val, precision)), precision)
+    return QSeries(eta_unit_coeffs(f.items(), _steps(val, precision)), precision, val)

@@ -19,7 +19,7 @@ from math import isqrt
 from .arith import common_denominator
 from .characters import DirichletChar, chi, sigma_twisted
 from .etaq import EtaQuotient
-from .qseries import GRADE, QSeries, eta_quotient_expansion
+from .qseries import QSeries, eta_quotient_expansion
 from .spaces import basis_expansions, build_basis, solve_in_basis
 
 __all__ = [
@@ -81,7 +81,7 @@ def phi_eta_quotient(exponents) -> EtaQuotient:
 
 def genfun(exponents, precision: int = 61) -> QSeries:
     """Theta series of the form, q^0..q^(precision-1) known."""
-    return eta_quotient_expansion(phi_eta_quotient(exponents), GRADE * precision)
+    return eta_quotient_expansion(phi_eta_quotient(exponents), precision)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def basis_expansions(basis: SpaceBasis, precision: int, part: str = "basis"):
     `precision`, a cusp series by resuming the eta-quotient kernel cache.
     The rest are left alone, so a cusp read never rebuilds an Eisenstein
     series.  A read that rebuilds nothing returns the cached tuple itself;
-    readers slice it and truncate at their own precision.
+    readers slice it and stop at their own precision.
     """
     disc = basis.character.discriminant
     own = build_basis(disc)
@@ -148,7 +148,7 @@ def basis_expansions(basis: SpaceBasis, precision: int, part: str = "basis"):
                 s = own.eisenstein[i]
                 series[i] = eisenstein3(s.chi, s.psi, s.t, precision)
             else:
-                series[i] = eta_quotient_expansion(own.cusp[i - ne], GRADE * precision)
+                series[i] = eta_quotient_expansion(own.cusp[i - ne], precision)
         got = _EXPANSIONS[disc] = tuple(series)
     return got
 

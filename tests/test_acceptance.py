@@ -121,8 +121,7 @@ def test_criterion_6_sturm_soundness():
 
 def test_criterion_7_newforms():
     f = build_newform("f1", 10)
-    ref = f1_reference(10)
-    ref_ok = all(f.qcoeff(n) == ref.qcoeff(n) for n in range(10))
+    ref_ok = all(f.qcoeff(n) == c for n, c in enumerate(f1_reference()))
     back_ok = solve_back_f1() == (1, 0, K1.generator() + 3, 4)
     hecke_ok = True
     fallbacks = []

@@ -144,7 +144,7 @@ def test_expressible_members_expand_correctly(census):
     basis = build_basis(-8)
     eis = basis_expansions(basis, 40)[: len(basis.eisenstein)]
     for f, coords in result.eisenstein_expressible:
-        g = eta_quotient_expansion(f, GRADE * 40)
+        g = eta_quotient_expansion(f, 40)
         for n in range(40):
             acc = sum((x * e.qcoeff(n) for x, e in zip(coords, eis)), Fraction(0))
             assert acc == g.qcoeff(n)
@@ -242,11 +242,11 @@ def test_span_solver_matches_reference_solver(census):
         staged = {f.exponents: x for f, x in census[disc].eisenstein_expressible}
         misses = []
         for f in census[disc].members:
-            g = eta_quotient_expansion(f, GRADE * rows)
+            g = eta_quotient_expansion(f, rows)
             y = [g.qcoeff(n) for n in range(rows)]
             nums = solver.numerators(y)
             if nums is not None:
-                full = eta_quotient_expansion(f, GRADE * 61)
+                full = eta_quotient_expansion(f, 61)
                 if any(nums[ne:]):
                     nums = None
                 elif first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
@@ -335,7 +335,7 @@ def test_integer_verification_names_the_first_wrong_coefficient(k):
     f = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
     solver = span_solver(-8)
     rows = sturm_bound() + 1
-    g = eta_quotient_expansion(f, GRADE * 61)
+    g = eta_quotient_expansion(f, 61)
     nums = solver.numerators([g.qcoeff(n) for n in range(rows)])
     assert not any(nums[solver.ne:])
     nums = nums[: solver.ne]
@@ -343,7 +343,7 @@ def test_integer_verification_names_the_first_wrong_coefficient(k):
     assert first_deviation(g, nums, solver.columns, rows, 61, solver.den) is None
     coeffs = [g.qcoeff(n) for n in range(61)]
     coeffs[k] += 1
-    moved = QSeries.from_terms([(GRADE * n, c) for n, c in enumerate(coeffs)], g.trunc)
+    moved = QSeries(coeffs, 61)
     assert [moved.qcoeff(n) for n in range(rows)] == [g.qcoeff(n) for n in range(rows)]
     assert first_deviation(moved, nums, solver.columns, rows, 61, solver.den) == k
     coords = tuple(Fraction(v, solver.den) for v in nums)
@@ -420,7 +420,7 @@ def test_verify_remark_identities_names_the_first_mismatch(monkeypatch):
     reports = verify_remark_identities(precision=40)
     assert len(reports) == len(broken)
     for ident, rep in zip(broken, reports):
-        lhs = eta_quotient_expansion(parse_eta(ident.label), GRADE * 40)
+        lhs = eta_quotient_expansion(parse_eta(ident.label), 40)
         want = first_deviation(lhs, (1,), (remark_rhs(ident, 40),), 0, 40)
         assert want is not None
         assert not rep.holds

@@ -13,14 +13,19 @@ from qformlab.qseries import (
     eta_unit_coeffs,
     euler_coeffs,
 )
+from qformlab.characters import chi
 from qformlab.eisenstein import eisenstein3
-from qformlab.etaq import EtaQuotient
+from qformlab.etaq import EtaQuotient, parse_eta
+from qformlab.etasearch import REMARK_IDENTITIES, remark_rhs
+from qformlab.newforms import build_newform
+from qformlab.quadforms import genfun
 from qformlab.spaces import build_basis
 
 
 def test_grade_convention():
     assert GRADE == 24
-    f = QSeries.from_terms([(0, 1), (GRADE, -3)], 3 * GRADE)
+    f = QSeries([1, -3], 3)
+    assert f.trunc == 3 * GRADE
     assert f.qcoeff(0) == 1
     assert f.qcoeff(1) == -3
     assert f.qcoeff(2) == 0
@@ -33,7 +38,7 @@ def test_euler_coeffs_pentagonal():
 
 
 def test_eta_expansion_leading_terms():
-    f = eta_expansion(1, 4 * GRADE)
+    f = eta_expansion(1, 4)
     # eta = q^(1/24)(1 - q - q^2 + ...)
     assert f.coeff(1) == 1
     assert f.coeff(1 + GRADE) == -1
@@ -55,7 +60,7 @@ def test_eta_cube_oracle():
     # eta(z)^3 = sum_{n>=0} (-1)^n (2n+1) q^((2n+1)^2/8) (Jacobi), and
     # (2n+1)^2/8 = 3/8 + n(n+1)/2: the cube's unit part is supported on
     # the triangular numbers
-    eta = eta_expansion(1, 40 * GRADE)
+    eta = eta_expansion(1, 40)
     unit = [eta.coeff(1 + GRADE * i) for i in range(40)]
     cube = naive_product(naive_product(unit, unit, 40), unit, 40)
     expect = [0] * 40
@@ -112,8 +117,10 @@ def _level24_exponents(draw, budget=12):
 def test_eta_quotient_expansion_matches_factor_product(exponents, L):
     f = EtaQuotient(24, tuple(exponents))
     val = f.valuation24()
-    direct = eta_quotient_expansion(f, val + GRADE * L)
-    assert direct.trunc == val + GRADE * L
+    # q^0..q^(P-1) hold the L grade-24 exponents val, val + 24, ...
+    precision = L + val // GRADE
+    direct = eta_quotient_expansion(f, precision)
+    assert direct.trunc == GRADE * precision
     assert [direct.coeff(val + GRADE * i) for i in range(L)] == _factor_product(f, L)
 
 
@@ -129,7 +136,7 @@ def _q_steps(g: QSeries) -> int:
 @settings(max_examples=50, deadline=None)
 def test_eta_quotient_expansion_stores_one_coefficient_per_q_step(exponents, L):
     f = EtaQuotient(24, tuple(exponents))
-    g = eta_quotient_expansion(f, f.valuation24() + GRADE * L)
+    g = eta_quotient_expansion(f, L + f.valuation24() // GRADE)
     unit = eta_unit_coeffs(f.items(), L)
     assert len(g.coeffs) <= _q_steps(g) == L
     assert [g.coeff(f.valuation24() + GRADE * i) for i in range(L)] == unit
@@ -153,26 +160,53 @@ def test_qseries_is_a_container():
                  "agrees_with", "constant", "is_zero", "__hash__"):
         assert not callable(vars(QSeries).get(name)), name
     with pytest.raises(TypeError):
-        hash(QSeries.zero(GRADE))
+        hash(QSeries.zero(1))
 
 
-def test_mixed_residues_are_rejected():
-    with pytest.raises(ValueError):
-        QSeries.from_terms([(0, 1), (GRADE + 1, 2)], 3 * GRADE)
+@pytest.mark.parametrize("P", [1, 13, 61, 100])
+def test_every_series_is_known_below_q_to_its_precision(P):
+    # one precision unit: every constructor and expansion takes the
+    # number of known powers of q, whatever the order of the series
+    series = [
+        eta_quotient_expansion(parse_eta("eta4[-2,5,-2]"), P),  # order 0, the theta series
+        eta_quotient_expansion(parse_eta("eta1[1]"), P),  # order 1/24
+        eta_quotient_expansion(parse_eta("eta2[1,-1]"), P),  # order -1/24
+        eta_expansion(1, P),
+        eisenstein3(chi(-4), chi(1), 1, P),
+        genfun((1, 2, 2, 1), P),
+        build_newform("f1", P),
+        remark_rhs(REMARK_IDENTITIES[0], P),
+        QSeries.zero(P),
+        QSeries([1] * P, P),
+    ]
+    for s in series:
+        assert s.qprecision() == P
+        assert s.trunc == GRADE * P
+    # the old argument order (val, coeffs, trunc) is refused, not read
+    # as 24 times as many known coefficients
+    with pytest.raises(TypeError):
+        QSeries(0, [1], 24)
+    assert not hasattr(QSeries, "from_terms")
+    assert not hasattr(QSeries, "truncated")
 
 
 def test_truncated_matches_a_shorter_expansion():
     f = EtaQuotient(24, (2, 1, 0, 0, 0, 0, 0, -1))  # order -20/24 at infinity
-    full = eta_quotient_expansion(f, 40 * GRADE)
-    for trunc in (f.valuation24() + 1, 5 * GRADE, 17 * GRADE + 7, 40 * GRADE):
-        assert full.truncated(trunc) == eta_quotient_expansion(f, trunc)
-    with pytest.raises(ValueError):
-        full.truncated(40 * GRADE + 1)
+    qseries._EULER_POW_CACHE.clear()
+    full = eta_quotient_expansion(f, 40)
+    for precision in (0, 1, 5, 17, 40):
+        qseries._EULER_POW_CACHE.clear()
+        short = eta_quotient_expansion(f, precision)
+        assert short.val == full.val == f.valuation24()
+        assert short.trunc == GRADE * precision
+        assert _q_steps(short) == precision + 1  # q^(-20/24) .. q^(precision - 20/24)
+        assert short.coeffs == full.coeffs[: len(short.coeffs)]
+    assert eta_quotient_expansion(f, -1) == QSeries.zero(-1)
 
 
 def test_eta_quotient_expansion_known_cusp_form():
     f = EtaQuotient(24, (0, 3, 0, -4, -5, 2, 16, -6))
-    direct = eta_quotient_expansion(f, 8 * GRADE)
+    direct = eta_quotient_expansion(f, 8)
     assert [direct.qcoeff(n) for n in range(1, 8)] == _factor_product(f, 7)
 
 
@@ -295,13 +329,19 @@ def test_eta_unit_coeffs_checks_every_division():
 
 def test_eta_quotient_valuation():
     f = EtaQuotient(24, (0, 3, 0, -4, -5, 2, 16, -6))
-    g = eta_quotient_expansion(f, 3 * GRADE)
+    g = eta_quotient_expansion(f, 3)
     assert g.val == sum(d * r for d, r in f.items())
     assert g.val == GRADE  # this one is a cusp form starting at q^1
     assert g.qcoeff(1) == 1
 
 
-def test_precision_must_exceed_valuation():
-    f = EtaQuotient(1, (2,))
-    with pytest.raises(ValueError):
-        eta_quotient_expansion(f, 2)
+def test_precision_at_or_below_the_order_gives_the_zero_series():
+    # nothing below q^P is nonzero, so a cusp element known below q^1
+    # (the basis read of build_newform(name, 1)) is the zero series
+    f = EtaQuotient(1, (2,))  # order 2/24
+    assert eta_quotient_expansion(f, 0) == QSeries.zero(0)
+    assert eta_quotient_expansion(f, 1).coeffs == (1,)
+    assert eta_expansion(1, 0) == QSeries.zero(0)
+    g = EtaQuotient(24, (0, 3, 0, -4, -5, 2, 16, -6))  # order 1
+    assert eta_quotient_expansion(g, 1) == QSeries.zero(1)
+    assert eta_quotient_expansion(g, 2).coeffs == (1,)

@@ -28,9 +28,9 @@ from qformlab.spaces import SPACE_DISCRIMINANTS
 
 
 def test_phi_is_the_theta_series():
-    from qformlab.qseries import GRADE, eta_quotient_expansion
+    from qformlab.qseries import eta_quotient_expansion
 
-    f = eta_quotient_expansion(PHI, 26 * GRADE)
+    f = eta_quotient_expansion(PHI, 26)
     squares = {n * n for n in range(6)}
     for n in range(26):
         assert f.qcoeff(n) == (2 if n in squares and n else 1 if n == 0 else 0)
