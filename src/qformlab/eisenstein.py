@@ -44,7 +44,11 @@ class EisensteinSpec:
 
 def eisenstein3(chi_char: DirichletChar, psi: DirichletChar, t: int = 1,
                 precision: int = 61) -> QSeries:
-    """Expansion of E3[chi,psi](t z) with q^0..q^(precision-1) known."""
+    """Expansion of E3[chi,psi](t z) with q^0..q^(precision-1) known.
+
+    The default equals spaces.CHECK_PRECISION, which is not imported
+    here because spaces imports this module.
+    """
     spec = EisensteinSpec(chi_char, psi, t)
     if precision < 1:
         raise ValueError("precision must be at least 1")

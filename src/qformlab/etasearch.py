@@ -15,7 +15,8 @@ The module also decides which members lie in the Eisenstein span of
 their space, reading each member's coefficients only as far as the test
 needs them from one expansion of its own that bypasses the kernel cache
 of qseries, and verifies the classical q-series identities relating
-particular quotients to twisted divisor sums in integers.
+particular quotients to twisted divisor sums in integers.  A space is
+named by its discriminant, one of SPACE_DISCRIMINANTS, as in `spaces`.
 """
 
 import random
@@ -25,10 +26,17 @@ from math import gcd
 from operator import add, mul
 
 from .characters import DirichletChar, chi, sigma_twisted_table
-from .etaq import EtaQuotient, _order_weights, character_of, divisors, ligozat_check, parse_eta
+from .etaq import EtaQuotient, _order_weights, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, _extend, eta_quotient_expansion
 # _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
-from .spaces import SPACE_DISCRIMINANTS, _SOLVERS, first_deviation, span_solver, sturm_bound
+from .spaces import (
+    CHECK_PRECISION,
+    SPACE_DISCRIMINANTS,
+    _SOLVERS,
+    first_deviation,
+    span_solver,
+    sturm_bound,
+)
 
 __all__ = [
     "CensusResult",
@@ -217,25 +225,21 @@ def _census_all():
     return _CENSUS
 
 
-def _as_disc(char) -> int:
-    if isinstance(char, DirichletChar):
-        disc = char.discriminant
-    else:
-        disc = int(char)
+def _check_disc(disc: int):
     if disc not in SPACE_DISCRIMINANTS:
         raise ValueError(
             "no census space for %r; discriminant must be one of %s"
-            % (char, (SPACE_DISCRIMINANTS,))
+            % (disc, (SPACE_DISCRIMINANTS,))
         )
-    return disc
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein span membership
 # ---------------------------------------------------------------------------
 
-def eisenstein_expressible(f: EtaQuotient, char=None):
-    """Coordinates of f over the Eisenstein part of its space, or None.
+def eisenstein_expressible(f: EtaQuotient, disc: int):
+    """Coordinates of f over the Eisenstein part of the chi(disc) space,
+    or None.
 
     A quotient of fractional or negative order at infinity is not in
     the space, and neither is one that vanishes through the Sturm bound.
@@ -257,7 +261,7 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     val = sum(d * r for d, r in key)
     if val % GRADE:
         return None
-    disc = _as_disc(character_of(f) if char is None else char)
+    _check_disc(disc)
     rows = sturm_bound() + 1
     lead = val // GRADE
     if not 0 <= lead < rows:
@@ -272,9 +276,9 @@ def eisenstein_expressible(f: EtaQuotient, char=None):
     nums = solver.eisenstein_numerators([0] * lead + a)
     if nums is None:
         return None
-    _extend(key, a, g, 61 - lead)
-    full = QSeries(a, 61, val)
-    if first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
+    _extend(key, a, g, CHECK_PRECISION - lead)
+    full = QSeries(a, CHECK_PRECISION, val)
+    if first_deviation(full, nums, solver.columns, rows, CHECK_PRECISION, solver.den) is not None:
         return None
     return tuple(Fraction(v, solver.den) for v in nums)
 
@@ -288,9 +292,10 @@ class CensusResult:
     eisenstein_expressible: tuple  # of (EtaQuotient, coordinate tuple)
 
 
-def enumerate_space(char) -> CensusResult:
-    """Census of M_3(Gamma_0(24), chi) for one of the four characters."""
-    disc = _as_disc(char)
+def enumerate_space(disc: int) -> CensusResult:
+    """Census of M_3(Gamma_0(24), chi(disc)) for one of the four
+    discriminants."""
+    _check_disc(disc)
     members = _census_all()[disc]
     hits = []
     for f in members:
@@ -383,7 +388,7 @@ class IdentityReport:
     first_mismatch: int | None
 
 
-def verify_remark_identities(precision: int = 61):
+def verify_remark_identities(precision: int = CHECK_PRECISION):
     """Check every displayed identity coefficient by coefficient.
 
     The check is integer work: the constant term is compared on its own,

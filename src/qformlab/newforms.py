@@ -122,7 +122,7 @@ def _cusp_expansions(disc: int, precision: int):
     """The space basis and its cached cusp expansions, each known at
     least through q^(precision-1); readers stop at their own precision."""
     basis = build_basis(disc)
-    return basis, basis_expansions(basis, precision, "cusp")[len(basis.eisenstein):]
+    return basis, basis_expansions(disc, precision, "cusp")[len(basis.eisenstein):]
 
 
 def _combine(scalars, cusp, precision: int) -> QSeries:

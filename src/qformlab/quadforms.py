@@ -10,6 +10,7 @@ counts can be computed three independent ways (series expansion,
 formula, nested-loop enumeration) and must agree exactly.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,10 +18,10 @@ from importlib import resources
 from math import isqrt
 
 from .arith import common_denominator
-from .characters import DirichletChar, chi, sigma_twisted
-from .etaq import EtaQuotient
+from .characters import DirichletChar, sigma_twisted
+from .etaq import EtaQuotient, character_of
 from .qseries import QSeries, eta_quotient_expansion
-from .spaces import basis_expansions, build_basis, solve_in_basis
+from .spaces import CHECK_PRECISION, basis_expansions, build_basis, solve_in_basis, sturm_bound
 
 __all__ = [
     "QuadForm",
@@ -55,31 +56,21 @@ def all_forms():
 
 
 def classify(exponents) -> DirichletChar:
-    """Character of the theta series, from the parities of l1+l3 and l3+l6."""
-    l1, l2, l3, l6 = exponents
-    key = ((l1 + l3) % 2, (l3 + l6) % 2)
-    return chi({(0, 0): -4, (0, 1): -3, (1, 0): -8, (1, 1): -24}[key])
+    """Character of the theta series: the nebentypus of its eta quotient."""
+    return character_of(phi_eta_quotient(exponents))
 
 
 def phi_eta_quotient(exponents) -> EtaQuotient:
-    """prod phi(dz)^{l_d} rewritten as a single level-24 eta quotient."""
-    l1, l2, l3, l6 = exponents
-    return EtaQuotient(
-        24,
-        (
-            -2 * l1,
-            5 * l1 - 2 * l2,
-            -2 * l3,
-            -2 * l1 + 5 * l2,
-            5 * l3 - 2 * l6,
-            -2 * l2,
-            -2 * l3 + 5 * l6,
-            -2 * l6,
-        ),
-    )
+    """prod phi(dz)^{l_d} rewritten as a single level-24 eta quotient:
+    phi(dz) puts the exponent of eta(delta z) in PHI at the divisor d delta."""
+    r = Counter()
+    for d, l in zip(_DS, exponents):
+        for delta, e in PHI.items():
+            r[d * delta] += l * e
+    return EtaQuotient(24, r)
 
 
-def genfun(exponents, precision: int = 61) -> QSeries:
+def genfun(exponents, precision: int = CHECK_PRECISION) -> QSeries:
     """Theta series of the form, q^0..q^(precision-1) known."""
     return eta_quotient_expansion(phi_eta_quotient(exponents), precision)
 
@@ -182,7 +173,7 @@ class FormulaRow:
         return den, tuple(nums)
 
 
-def derive_formula(exponents, precision: int = 61) -> FormulaRow:
+def derive_formula(exponents, precision: int = CHECK_PRECISION) -> FormulaRow:
     """Solve the theta series against its space basis, exactly.
 
     `precision` sets how many coefficients the solved identity is
@@ -190,10 +181,9 @@ def derive_formula(exponents, precision: int = 61) -> FormulaRow:
     bound once membership in the space is known).
     """
     character = classify(exponents)
-    basis = build_basis(character.discriminant)
     f = genfun(exponents, precision)
-    sol = solve_in_basis(f, basis)
-    ne = len(basis.eisenstein)
+    sol = solve_in_basis(f, character.discriminant)
+    ne = len(build_basis(character.discriminant).eisenstein)
     return FormulaRow(
         exponents=tuple(exponents),
         character=character,
@@ -219,7 +209,8 @@ def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
             total += num * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
     cusp = nums[ne:]
     if any(cusp):
-        for num, series in zip(cusp, basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
+        expansions = basis_expansions(row.character.discriminant, max(CHECK_PRECISION, n + 1), "cusp")
+        for num, series in zip(cusp, expansions[ne:]):
             if num:
                 total += num * series.qcoeff(n)
     return Fraction(total, den)
@@ -282,12 +273,13 @@ class TableComparison:
         )
 
 
-def compare_with_fixture(disc: int, precision: int = 13) -> TableComparison:
-    """Derive every row of one table and diff against the printed values."""
+def compare_with_fixture(disc: int) -> TableComparison:
+    """Derive every row of one table on the Sturm bound's coefficients
+    and diff against the printed values."""
     fixture = load_fixture(disc)
     mismatches = []
     for printed in fixture:
-        derived = derive_formula(printed.exponents, precision)
+        derived = derive_formula(printed.exponents, sturm_bound() + 1)
         for col, (dv, pv) in enumerate(zip(derived.values(), printed.values())):
             if dv != pv:
                 mismatches.append((printed.exponents, col, dv, pv))

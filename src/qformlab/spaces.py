@@ -7,6 +7,9 @@ whose orders at infinity are pairwise distinct.  A form known through
 q^12 (the Sturm bound for weight 3 and index 48) is pinned down here:
 solving on thirteen coefficients identifies it, and any further known
 coefficients are then verified, not assumed.
+
+Every function here names a space by its discriminant, one of
+SPACE_DISCRIMINANTS, and reads the one basis build_basis keeps for it.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ __all__ = [
     "solve_in_basis",
     "first_deviation",
     "sturm_bound",
+    "CHECK_PRECISION",
     "SPACE_DISCRIMINANTS",
 ]
 
@@ -40,6 +44,10 @@ _GAMMA0_24_INDEX = 48
 def sturm_bound() -> int:
     """Coefficient bound q^0..q^bound determining a form: 3*48/12 = 12."""
     return 3 * _GAMMA0_24_INDEX // 12
+
+
+# q^0..q^60: how far census hits, formulas and identities are verified
+CHECK_PRECISION = 61
 
 
 # Eisenstein scale sets: E3[chi,1](tz) and E3[1,chi](tz) over these t
@@ -122,33 +130,30 @@ def build_basis(disc: int) -> SpaceBasis:
 _EXPANSIONS: dict = {}  # discriminant -> tuple of every basis series
 
 
-def basis_expansions(basis: SpaceBasis, precision: int, part: str = "basis"):
-    """QSeries for every element of a space's own basis, Eisenstein first.
+def basis_expansions(disc: int, precision: int, part: str = "basis"):
+    """QSeries for every element of the basis of the chi(disc) space,
+    Eisenstein first.
 
-    One tuple is kept per space; any basis but build_basis(disc) is a
-    ValueError.  A series of `part` ("basis" for all, "cusp" for the cusp
-    elements) that knows less than q^0..q^(precision-1) is rebuilt at
-    `precision`, a cusp series by resuming the eta-quotient kernel cache.
-    The rest are left alone, so a cusp read never rebuilds an Eisenstein
-    series.  A read that rebuilds nothing returns the cached tuple itself;
-    readers slice it and stop at their own precision.
+    One tuple is kept per space.  A series of `part` ("basis" for all,
+    "cusp" for the cusp elements) that knows less than q^0..q^(precision-1)
+    is rebuilt at `precision`, a cusp series by resuming the eta-quotient
+    kernel cache.  The rest are left alone, so a cusp read never rebuilds
+    an Eisenstein series.  A read that rebuilds nothing returns the cached
+    tuple itself; readers slice it and stop at their own precision.
     """
-    disc = basis.character.discriminant
-    own = build_basis(disc)
-    if basis is not own and basis != own:
-        raise ValueError("expansions are kept only for the basis of the chi(%d) space" % disc)
-    got = _EXPANSIONS.get(disc) or (QSeries.zero(0),) * own.dimension
-    ne = len(own.eisenstein)
+    basis = build_basis(disc)
+    got = _EXPANSIONS.get(disc) or (QSeries.zero(0),) * basis.dimension
+    ne = len(basis.eisenstein)
     grow = [i for i in range({"basis": 0, "cusp": ne}[part], len(got))
             if got[i].qprecision() < precision]
     if grow:
         series = list(got)
         for i in grow:
             if i < ne:
-                s = own.eisenstein[i]
+                s = basis.eisenstein[i]
                 series[i] = eisenstein3(s.chi, s.psi, s.t, precision)
             else:
-                series[i] = eta_quotient_expansion(own.cusp[i - ne], precision)
+                series[i] = eta_quotient_expansion(basis.cusp[i - ne], precision)
         got = _EXPANSIONS[disc] = tuple(series)
     return got
 
@@ -194,7 +199,7 @@ def verify_basis(disc: int) -> BasisReport:
     weights_ok = all(r.weight == 3 for r in reports)
     vals = tuple(f.valuation24() // GRADE for f in basis.cusp)
     rows = sturm_bound() + 1
-    exps = basis_expansions(basis, rows)
+    exps = basis_expansions(disc, rows)
     mat = ExactMatrix.from_rows(
         [[e.qcoeff(n) for e in exps] for n in range(rows)]
     )
@@ -298,18 +303,19 @@ _SOLVERS: dict = {}  # discriminant -> _SpanSolver
 def span_solver(disc: int) -> _SpanSolver:
     """The solver of a space's whole basis, built on first use.
 
-    Its columns are kept through q^60: census hits are verified that
-    far, and derive_formula solves at this precision by default.
+    Its columns are kept through CHECK_PRECISION: census hits are
+    verified that far, and derive_formula solves at this precision by
+    default.
     """
     got = _SOLVERS.get(disc)
     if got is None:
-        basis = build_basis(disc)
-        got = _SOLVERS[disc] = _SpanSolver(basis_expansions(basis, 61), len(basis.eisenstein))
+        ne = len(build_basis(disc).eisenstein)
+        got = _SOLVERS[disc] = _SpanSolver(basis_expansions(disc, CHECK_PRECISION), ne)
     return got
 
 
-def solve_in_basis(f: QSeries, basis: SpaceBasis):
-    """Coordinates of f in the given basis, or ValueError.
+def solve_in_basis(f: QSeries, disc: int):
+    """Coordinates of f in the basis of the chi(disc) space, or ValueError.
 
     Solves on the thirteen coefficients q^0..q^12 and then insists that
     every further coefficient known to f agrees; membership claimed by
@@ -321,8 +327,8 @@ def solve_in_basis(f: QSeries, basis: SpaceBasis):
     prec = f.qprecision()
     if prec < rows:
         raise ValueError("need at least %d known coefficients, got %d" % (rows, prec))
-    expansions = basis_expansions(basis, prec)
-    solver = span_solver(basis.character.discriminant)
+    expansions = basis_expansions(disc, prec)
+    solver = span_solver(disc)
     nums = solver.numerators([f.qcoeff(n) for n in range(rows)])
     if nums is None:
         raise ValueError("no unique representation in this basis (%s)" % INCONSISTENT)

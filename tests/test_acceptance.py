@@ -27,7 +27,7 @@ from qformlab.quadforms import (
     rep_count_formula,
     rep_counts_bruteforce,
 )
-from qformlab.spaces import SPACE_DISCRIMINANTS, basis_expansions, build_basis, verify_basis
+from qformlab.spaces import SPACE_DISCRIMINANTS, basis_expansions, verify_basis
 
 
 def _line(n, ok, detail):
@@ -105,8 +105,7 @@ def test_criterion_6_sturm_soundness():
     checked = 0
     for exps in all_forms():
         row = derive_formula(exps, 13)  # solved from q^0..q^12 only
-        basis = build_basis(row.character.discriminant)
-        expansions = basis_expansions(basis, 61)
+        expansions = basis_expansions(row.character.discriminant, 61)
         series = genfun(exps, 61)
         values = row.values()
         for n in range(61):

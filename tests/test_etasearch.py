@@ -142,7 +142,7 @@ def test_expressible_members_expand_correctly(census):
     from qformlab.spaces import basis_expansions, build_basis
 
     basis = build_basis(-8)
-    eis = basis_expansions(basis, 40)[: len(basis.eisenstein)]
+    eis = basis_expansions(-8, 40)[: len(basis.eisenstein)]
     for f, coords in result.eisenstein_expressible:
         g = eta_quotient_expansion(f, 40)
         for n in range(40):
@@ -152,14 +152,14 @@ def test_expressible_members_expand_correctly(census):
 
 def test_eisenstein_expressible_known_values():
     f = parse_eta("eta3[-3,9]").lifted(24)
-    assert eisenstein_expressible(f) == (0, 0, 0, 0, 1, 0, 0, 0)
+    assert eisenstein_expressible(f, -3) == (0, 0, 0, 0, 1, 0, 0, 0)
     g = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
-    assert eisenstein_expressible(g) == (Fraction(-2, 3), 0, Fraction(8, 3), 0)
+    assert eisenstein_expressible(g, -8) == (Fraction(-2, 3), 0, Fraction(8, 3), 0)
 
 
 def test_eisenstein_expressible_rejects_cusp_form():
     f = parse_eta("eta24[0,3,0,-4,-5,2,16,-6]")
-    assert eisenstein_expressible(f) is None
+    assert eisenstein_expressible(f, -3) is None
 
 
 def test_eisenstein_expressible_rejects_fractional_order():
@@ -167,7 +167,6 @@ def test_eisenstein_expressible_rejects_fractional_order():
     # infinity: no integer power of q occurs, so it is in no space
     f = EtaQuotient(24, (6, 0, 0, 0, 0, 0, 0, 0))
     assert f.valuation24() % GRADE
-    assert eisenstein_expressible(f) is None
     assert eisenstein_expressible(f, -4) is None
 
 
@@ -183,7 +182,7 @@ def test_eisenstein_expressible_rejects_orders_outside_the_sturm_range():
         f = EtaQuotient(24, exps)
         assert f.valuation24() == GRADE * lead
         assert ligozat_check(f).character == chi(-4)
-        assert eisenstein_expressible(f) is None
+        assert eisenstein_expressible(f, -4) is None
 
 
 def _coordinates(solver, y):
@@ -289,7 +288,7 @@ def test_span_test_reads_the_fewest_coefficients(monkeypatch, label, want, lengt
         return inner(key, a, g, L)
 
     monkeypatch.setattr(etasearch, "_extend", recorded)
-    assert eisenstein_expressible(parse_eta(label).lifted(24)) == want
+    assert eisenstein_expressible(parse_eta(label).lifted(24), -3) == want
     assert grown == lengths
 
 
@@ -299,9 +298,9 @@ def test_enumerate_space_classifies_through_the_module_function(census, monkeypa
     seen = []
     inner = etasearch.eisenstein_expressible
 
-    def counted(f, char=None):
+    def counted(f, disc):
         seen.append(f)
-        return inner(f, char)
+        return inner(f, disc)
 
     monkeypatch.setattr(etasearch, "eisenstein_expressible", counted)
     result = etasearch.enumerate_space(-8)

@@ -163,7 +163,7 @@ def test_hecke_matrix_rejects_an_image_with_an_eisenstein_part(monkeypatch):
 
     def swapped(disc, precision):
         basis, cusp = inner(disc, precision)
-        eis = spaces.basis_expansions(basis, precision)[0]
+        eis = spaces.basis_expansions(disc, precision)[0]
         return basis, (eis,) + cusp[1:]
 
     monkeypatch.setattr(newforms, "_cusp_expansions", swapped)

@@ -256,7 +256,8 @@ def _fraction_formula(row, n):
             total += coeff * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
     if any(row.cusp):
         ne = len(basis.eisenstein)
-        for coeff, series in zip(row.cusp, spaces.basis_expansions(basis, max(61, n + 1), "cusp")[ne:]):
+        expansions = spaces.basis_expansions(row.character.discriminant, max(61, n + 1), "cusp")
+        for coeff, series in zip(row.cusp, expansions[ne:]):
             if coeff:
                 total += coeff * series.qcoeff(n)
     return total

@@ -3,7 +3,8 @@
 Each example line is run through `cli.main` in-process, and its stdout is
 compared with the lines printed under it in the README, up to the next
 blank line, example or code fence.  A trailing `| head -N` keeps the
-first N lines of stdout.
+first N lines of stdout.  The Library section's Python block is run the
+same way, and its stdout is compared with the fenced block after it.
 """
 
 import re
@@ -43,6 +44,16 @@ def _examples():
 EXAMPLES = _examples()
 
 
+def _python_example():
+    """(source, expected stdout lines) of the README's Python block: the
+    lines inside the ```python fence, and those of the next fenced block."""
+    lines = README.read_text().splitlines()
+    start = lines.index("```python") + 1
+    end = lines.index("```", start)
+    shown = lines.index("```", end + 1) + 1
+    return "\n".join(lines[start:end]), lines[shown:lines.index("```", shown)]
+
+
 def test_readme_examples_are_found():
     # rep-count, eta-expand, eisenstein, basis verify, derive-table | head
     assert len(EXAMPLES) >= 5
@@ -56,3 +67,10 @@ def test_readme_example_prints_what_the_readme_shows(capsys, argv, head, expecte
     assert main(argv) == 0
     got = capsys.readouterr().out.splitlines()
     assert got[:head] == expected
+
+
+def test_readme_python_block_prints_what_the_readme_shows(capsys):
+    source, expected = _python_example()
+    assert expected
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out.splitlines() == expected
