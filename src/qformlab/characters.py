@@ -13,10 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-# discriminant -> conductor
-CONDUCTOR = {1: 1, -3: 3, -4: 4, 8: 8, -8: 8, 12: 12, 24: 24, -24: 24}
-
-KNOWN_DISCRIMINANTS = tuple(sorted(CONDUCTOR))
+KNOWN_DISCRIMINANTS = (-24, -8, -4, -3, 1, 8, 12, 24)
 
 
 def kronecker(t: int, n: int) -> int:
@@ -69,10 +66,10 @@ class DirichletChar:
     __slots__ = ("discriminant", "conductor", "_period")
 
     def __init__(self, discriminant: int):
-        if discriminant not in CONDUCTOR:
+        if discriminant not in KNOWN_DISCRIMINANTS:
             raise ValueError("unsupported discriminant %r" % (discriminant,))
         self.discriminant = discriminant
-        self.conductor = CONDUCTOR[discriminant]
+        self.conductor = abs(discriminant)
         self._period = tuple(kronecker(discriminant, n) for n in range(self.conductor))
 
     def __call__(self, n: int) -> int:

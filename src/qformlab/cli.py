@@ -32,13 +32,13 @@ from .newforms import (
 from .qseries import GRADE, eta_quotient_expansion
 from .quadforms import (
     DISPUTED_CELLS,
-    QuadForm,
     all_forms,
     classify,
+    coefficients,
     compare_with_fixture,
     derive_formula,
-    rep_count_bruteforce,
     rep_count_formula,
+    rep_counts_bruteforce,
 )
 from .spaces import SPACE_DISCRIMINANTS, build_basis, verify_basis
 
@@ -227,15 +227,19 @@ def _cmd_basis(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_form(text: str) -> QuadForm:
+def _parse_form(text: str) -> tuple:
+    """The exponent tuple (l1, l2, l3, l6) of six comma-separated coefficients."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 6:
         raise ValueError("--form wants 6 comma-separated coefficients, got %d" % len(parts))
-    return QuadForm.from_coefficients([int(p) for p in parts])
+    coeffs = [int(p) for p in parts]
+    if any(c not in (1, 2, 3, 6) for c in coeffs):
+        raise ValueError("need six coefficients, each one of 1, 2, 3, 6")
+    return tuple(coeffs.count(d) for d in (1, 2, 3, 6))
 
 
 def _cmd_rep_count(args) -> int:
-    form = _parse_form(args.form)
+    exps = _parse_form(args.form)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     if not args.formula and args.n > ENUMERATOR_MAX_N:
@@ -243,13 +247,13 @@ def _cmd_rep_count(args) -> int:
             "--n %d is above the enumerator bound %d; --formula goes further"
             % (args.n, ENUMERATOR_MAX_N)
         )
-    oracle = None if args.formula else rep_count_bruteforce(form, args.n)
+    oracle = None if args.formula else rep_counts_bruteforce(exps, args.n)[args.n]
     formula = None
     if not args.oracle:
         if args.n == 0:
             formula = 1  # empty sum: only the zero vector
         else:
-            row = derive_formula(form.exponents)
+            row = derive_formula(exps)
             cusp = any(row.cusp)
             bound = FORMULA_CUSP_MAX_N if cusp else FORMULA_EISENSTEIN_MAX_N
             if args.n > bound:
@@ -265,13 +269,13 @@ def _cmd_rep_count(args) -> int:
     if oracle is not None and formula is not None and oracle != formula:
         print(
             "mismatch: oracle %d != formula %d for %s at n=%d"
-            % (oracle, formula, form.label(), args.n),
+            % (oracle, formula, ",".join(map(str, coefficients(exps))), args.n),
             file=sys.stderr,
         )
         return 1
     count = oracle if oracle is not None else formula
     payload = {
-        "form": list(form.coefficients),
+        "form": list(coefficients(exps)),
         "n": args.n,
         "count": count,
         "method": "oracle" if args.oracle else ("formula" if args.formula else "both"),

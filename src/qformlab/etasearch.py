@@ -14,18 +14,22 @@ every hit is re-checked with ligozat_check.
 The module also decides which members lie in the Eisenstein span of
 their space, reading each member's coefficients only as far as the test
 needs them from one expansion of its own that bypasses the kernel cache
-of qseries, and verifies the classical q-series identities relating
-particular quotients to twisted divisor sums in integers.  A space is
-named by its discriminant, one of SPACE_DISCRIMINANTS, as in `spaces`.
+of qseries, and verifies the displayed identities, each a quotient
+written as a combination of twisted Eisenstein series E3[chi,psi](tz),
+in integers; their constant terms follow from the series.  A space is
+named by its discriminant, one of SPACE_DISCRIMINANTS, and checked by
+`spaces.check_discriminant`.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import mul
 
-from .characters import DirichletChar, chi, sigma_twisted_table
+from .arith import common_denominator
+from .characters import DirichletChar, chi
+from .eisenstein import eisenstein3
 from .etaq import EtaQuotient, _order_weights, divisors, ligozat_check, parse_eta
 from .qseries import GRADE, QSeries, _extend, eta_quotient_expansion
 # _SOLVERS, the shared solver cache, stays readable here: perfbench counts it
@@ -33,6 +37,7 @@ from .spaces import (
     CHECK_PRECISION,
     SPACE_DISCRIMINANTS,
     _SOLVERS,
+    check_discriminant,
     first_deviation,
     span_solver,
     sturm_bound,
@@ -225,14 +230,6 @@ def _census_all():
     return _CENSUS
 
 
-def _check_disc(disc: int):
-    if disc not in SPACE_DISCRIMINANTS:
-        raise ValueError(
-            "no census space for %r; discriminant must be one of %s"
-            % (disc, (SPACE_DISCRIMINANTS,))
-        )
-
-
 # ---------------------------------------------------------------------------
 # Eisenstein span membership
 # ---------------------------------------------------------------------------
@@ -257,11 +254,11 @@ def eisenstein_expressible(f: EtaQuotient, disc: int):
 
     A mismatch anywhere returns None.
     """
+    check_discriminant(disc)
     key = tuple((d, r) for d, r in f.items() if r)
     val = sum(d * r for d, r in key)
     if val % GRADE:
         return None
-    _check_disc(disc)
     rows = sturm_bound() + 1
     lead = val // GRADE
     if not 0 <= lead < rows:
@@ -295,7 +292,7 @@ class CensusResult:
 def enumerate_space(disc: int) -> CensusResult:
     """Census of M_3(Gamma_0(24), chi(disc)) for one of the four
     discriminants."""
-    _check_disc(disc)
+    check_discriminant(disc)
     members = _census_all()[disc]
     hits = []
     for f in members:
@@ -313,71 +310,47 @@ def enumerate_space(disc: int) -> CensusResult:
 
 @dataclass(frozen=True)
 class RemarkIdentity:
-    """One quotient written in twisted divisor sums.
+    """One quotient written as a combination of twisted Eisenstein series.
 
-    Coefficient of q^n on the right for n >= 1 is
-    scale * sum over terms of c * sigma_(2,chi,psi)(n/t), the term
-    contributing only when t divides n; `constant` is the q^0 term.
+    The right side is scale * sum over terms of c * E3[chi,psi](t z),
+    from q^0 on, so its constant term is that of the series:
+    -B_{3,chi}/6 for psi trivial, 0 otherwise.
     """
 
     label: str
-    constant: Fraction
     scale: Fraction
     terms: tuple  # of (c, chi discriminant, psi discriminant, t)
 
 
 REMARK_IDENTITIES = (
-    RemarkIdentity("eta3[-3,9]", Fraction(0), Fraction(1), ((1, 1, -3, 1),)),
-    RemarkIdentity(
-        "eta6[-4,5,4,1]", Fraction(0), Fraction(1),
-        ((1, 1, -3, 1), (1, 1, -3, 2)),
-    ),
-    RemarkIdentity(
-        "eta6[4,1,-4,5]", Fraction(0), Fraction(1),
-        ((1, -3, 1, 1), (-1, -3, 1, 2)),
-    ),
-    RemarkIdentity("eta4[-4,6,4]", Fraction(0), Fraction(1), ((1, 1, -4, 1),)),
-    RemarkIdentity(
-        "eta8[-4,2,16,-8]", Fraction(1), Fraction(4),
-        ((1, 1, -4, 1), (-1, -4, 1, 2)),
-    ),
-    RemarkIdentity(
-        "eta4[-12,30,-12]", Fraction(1), Fraction(4),
-        ((4, 1, -4, 1), (-1, -4, 1, 1)),
-    ),
-    RemarkIdentity(
-        "eta4[4,-6,8]", Fraction(0), Fraction(1),
-        ((1, 1, -4, 1), (-8, 1, -4, 2)),
-    ),
-    RemarkIdentity(
-        "eta4[-4,18,-8]", Fraction(1), Fraction(4),
-        ((1, -4, 1, 1), (-2, -4, 1, 2)),
-    ),
-    RemarkIdentity(
-        "eta8[-2,-5,23,-10]", Fraction(1), Fraction(2, 3),
-        ((4, 1, -8, 1), (-1, -8, 1, 1)),
-    ),
+    RemarkIdentity("eta3[-3,9]", Fraction(1), ((1, 1, -3, 1),)),
+    RemarkIdentity("eta6[-4,5,4,1]", Fraction(1), ((1, 1, -3, 1), (1, 1, -3, 2))),
+    RemarkIdentity("eta6[4,1,-4,5]", Fraction(1), ((1, -3, 1, 1), (-1, -3, 1, 2))),
+    RemarkIdentity("eta4[-4,6,4]", Fraction(1), ((1, 1, -4, 1),)),
+    RemarkIdentity("eta8[-4,2,16,-8]", Fraction(4), ((1, 1, -4, 1), (-1, -4, 1, 2))),
+    RemarkIdentity("eta4[-12,30,-12]", Fraction(4), ((4, 1, -4, 1), (-1, -4, 1, 1))),
+    RemarkIdentity("eta4[4,-6,8]", Fraction(1), ((1, 1, -4, 1), (-8, 1, -4, 2))),
+    RemarkIdentity("eta4[-4,18,-8]", Fraction(4), ((1, -4, 1, 1), (-2, -4, 1, 2))),
+    RemarkIdentity("eta8[-2,-5,23,-10]", Fraction(2, 3), ((4, 1, -8, 1), (-1, -8, 1, 1))),
 )
 
 
-def _divisor_sums(identity: RemarkIdentity, precision: int) -> list:
-    """S(0..precision-1) with S(n) = sum over terms of c sigma_(2,chi,psi)(n/t)
-    in ints, S(0) = 0: each term reads the twisted divisor sums of all
-    its q-powers from one `sigma_twisted_table`."""
-    acc = [0] * precision
-    for c, cd, pd, t in identity.terms:
-        table = sigma_twisted_table(2, chi(cd), chi(pd), (precision - 1) // t + 1)
-        acc[::t] = map(add, acc[::t], map(c.__mul__, table))
-    return acc
+def _rhs_terms(identity: RemarkIdentity, precision: int):
+    """(numerators, series, den) of the right side: scale * c = num / den
+    per term, and its E3[chi,psi](t z) with q^0..q^(precision-1) known."""
+    den, nums = common_denominator(identity.scale * c for c, _, _, _ in identity.terms)
+    series = [eisenstein3(chi(cd), chi(pd), t, precision) for _, cd, pd, t in identity.terms]
+    return nums, series, den
 
 
 def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
-    """Right-hand side of one identity, q^0..q^(precision-1) known:
-    `constant`, then `scale` times the integer divisor sums."""
-    scale = identity.scale
-    sums = _divisor_sums(identity, precision)
-    coeffs = [identity.constant] + [scale * v if v else 0 for v in sums[1:]]
-    return QSeries(coeffs, precision)
+    """Right-hand side of one identity, q^0..q^(precision-1) known."""
+    nums, series, den = _rhs_terms(identity, precision)
+    return QSeries(
+        [Fraction(sum(x * e.qcoeff(n) for x, e in zip(nums, series)), den) or 0
+         for n in range(precision)],
+        precision,
+    )
 
 
 @dataclass(frozen=True)
@@ -391,19 +364,14 @@ class IdentityReport:
 def verify_remark_identities(precision: int = CHECK_PRECISION):
     """Check every displayed identity coefficient by coefficient.
 
-    The check is integer work: the constant term is compared on its own,
-    and past it den * a(n) == num * S(n), for num/den the identity's
-    `scale` and S(n) its integer divisor sums.
+    The check is the integer one of `solve_in_basis`: den * a(n) ==
+    sum num * E3(n) from q^0 on, with num/den the products scale * c.
     """
     reports = []
     for ident in REMARK_IDENTITIES:
         lhs = eta_quotient_expansion(parse_eta(ident.label), precision)
-        if lhs.qcoeff(0) != ident.constant:
-            mismatch = 0
-        else:
-            sums = QSeries(_divisor_sums(ident, precision), precision)
-            num, den = ident.scale.numerator, ident.scale.denominator
-            mismatch = first_deviation(lhs, (num,), (sums,), 1, precision, den)
+        nums, series, den = _rhs_terms(ident, precision)
+        mismatch = first_deviation(lhs, nums, series, 0, precision, den)
         reports.append(
             IdentityReport(
                 label=ident.label,

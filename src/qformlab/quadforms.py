@@ -1,7 +1,9 @@
 """Diagonal senary quadratic forms with coefficients 1, 2, 3 and 6.
 
 A form is l_1 copies of x^2, l_2 of 2x^2, l_3 of 3x^2 and l_6 of 6x^2
-with l_1+l_2+l_3+l_6 = 6.  Its theta series is prod phi(dz)^{l_d} with
+with l_1+l_2+l_3+l_6 = 6, and it is carried as its exponent tuple
+(l1, l2, l3, l6), the paper's N(1^l1, 2^l2, 3^l3, 6^l6; n); `coefficients`
+lists its six coefficients.  Its theta series is prod phi(dz)^{l_d} with
 phi the classical theta function, an eta quotient of level 24, and its
 representation numbers follow a formula in a weight-3 basis.  The
 formula coefficients are derived here by exact linear algebra and are
@@ -24,13 +26,12 @@ from .qseries import QSeries, eta_quotient_expansion
 from .spaces import CHECK_PRECISION, basis_expansions, build_basis, solve_in_basis, sturm_bound
 
 __all__ = [
-    "QuadForm",
     "FormulaRow",
     "all_forms",
+    "coefficients",
     "classify",
     "phi_eta_quotient",
     "genfun",
-    "rep_count_bruteforce",
     "rep_counts_bruteforce",
     "derive_formula",
     "rep_count_formula",
@@ -55,6 +56,14 @@ def all_forms():
     return tuple(out)
 
 
+def coefficients(exponents) -> tuple:
+    """The six coefficients of the form, ascending: (2, 2, 1, 1) gives
+    (1, 1, 2, 2, 3, 6)."""
+    if len(exponents) != 4 or any(x < 0 for x in exponents) or sum(exponents) != 6:
+        raise ValueError("exponents must be four nonnegatives summing to 6")
+    return tuple(d for d, l in zip(_DS, exponents) for _ in range(l))
+
+
 def classify(exponents) -> DirichletChar:
     """Character of the theta series: the nebentypus of its eta quotient."""
     return character_of(phi_eta_quotient(exponents))
@@ -75,39 +84,7 @@ def genfun(exponents, precision: int = CHECK_PRECISION) -> QSeries:
     return eta_quotient_expansion(phi_eta_quotient(exponents), precision)
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """One diagonal form, carried as the exponent vector (l1, l2, l3, l6)."""
-
-    exponents: tuple
-
-    def __post_init__(self):
-        l = self.exponents
-        if len(l) != 4 or any(x < 0 for x in l) or sum(l) != 6:
-            raise ValueError("exponents must be four nonnegatives summing to 6")
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "QuadForm":
-        coeffs = tuple(coeffs)
-        if len(coeffs) != 6 or any(c not in _DS for c in coeffs):
-            raise ValueError("need six coefficients, each one of 1, 2, 3, 6")
-        return cls(tuple(coeffs.count(d) for d in _DS))
-
-    @property
-    def coefficients(self) -> tuple:
-        out = []
-        for d, l in zip(_DS, self.exponents):
-            out.extend([d] * l)
-        return tuple(out)
-
-    def character(self) -> DirichletChar:
-        return classify(self.exponents)
-
-    def label(self) -> str:
-        return ",".join(str(c) for c in self.coefficients)
-
-
-def rep_counts_bruteforce(form, nmax: int):
+def rep_counts_bruteforce(exponents, nmax: int):
     """counts[n] = #{x in Z^6 : sum c_i x_i^2 = n} for 0 <= n <= nmax.
 
     Plain nested enumeration with budget pruning; deliberately independent
@@ -117,10 +94,9 @@ def rep_counts_bruteforce(form, nmax: int):
     at x = 0 and doubles at every x > 0, and a point with k nonzero
     coordinates adds 2^k.
     """
-    if isinstance(form, QuadForm):
-        cs = form.coefficients
-    else:
-        cs = QuadForm(tuple(form)).coefficients
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    cs = coefficients(exponents)
     counts = [0] * (nmax + 1)
     clast = cs[5]
     # clast * y^2 for y = 1, 2, ... within the budget
@@ -144,13 +120,6 @@ def rep_counts_bruteforce(form, nmax: int):
 
     rec(0, 0, 1)
     return counts
-
-
-def rep_count_bruteforce(form, n: int) -> int:
-    """Single representation number by direct enumeration."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return rep_counts_bruteforce(form, n)[n]
 
 
 @dataclass(frozen=True)

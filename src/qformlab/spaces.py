@@ -3,13 +3,17 @@
 Each space M_3(Gamma_0(24), chi) for chi in {chi(-3), chi(-4), chi(-8),
 chi(-24)} splits into an Eisenstein part, spanned by scaled series
 E3[chi,psi](tz), and a cusp part spanned by eta quotients of level 24
-whose orders at infinity are pairwise distinct.  A form known through
-q^12 (the Sturm bound for weight 3 and index 48) is pinned down here:
-solving on thirteen coefficients identifies it, and any further known
-coefficients are then verified, not assumed.
+whose orders at infinity are pairwise distinct.  The Eisenstein part is
+derived, not listed: it is E3[a,b](tz) for every pair of primitive
+characters chi(a), chi(b) with chi(a) chi(b) = chi and t |a| |b| | 24
+(Miyake, Modular Forms, Thm 4.7.1).  A form known through q^12 (the
+Sturm bound for weight 3 and index 48) is pinned down here: solving on
+thirteen coefficients identifies it, and any further known coefficients
+are then verified, not assumed.
 
 Every function here names a space by its discriminant, one of
-SPACE_DISCRIMINANTS, and reads the one basis build_basis keeps for it.
+SPACE_DISCRIMINANTS (check_discriminant is the one check), and reads the
+one basis build_basis keeps for it.
 """
 
 from dataclasses import dataclass
@@ -18,14 +22,15 @@ from functools import cache
 from operator import mul
 
 from .arith import ExactMatrix, INCONSISTENT, common_denominator
-from .characters import DirichletChar, chi
+from .characters import KNOWN_DISCRIMINANTS, DirichletChar, chi
 from .eisenstein import EisensteinSpec, eisenstein3
-from .etaq import EtaQuotient, ModularityReport, ligozat_check
+from .etaq import EtaQuotient, ModularityReport, divisors, ligozat_check
 from .qseries import GRADE, QSeries, eta_quotient_expansion
 
 __all__ = [
     "SpaceBasis",
     "BasisReport",
+    "check_discriminant",
     "build_basis",
     "basis_expansions",
     "verify_basis",
@@ -49,9 +54,6 @@ def sturm_bound() -> int:
 # q^0..q^60: how far census hits, formulas and identities are verified
 CHECK_PRECISION = 61
 
-
-# Eisenstein scale sets: E3[chi,1](tz) and E3[1,chi](tz) over these t
-_EIS_SCALES = {-3: (1, 2, 4, 8), -4: (1, 2, 3, 6), -8: (1, 3)}
 
 _CUSP_EXPONENTS = {
     -3: (
@@ -103,28 +105,32 @@ class SpaceBasis:
         )
 
 
+def check_discriminant(disc: int):
+    """ValueError unless disc names one of the four spaces."""
+    if disc not in SPACE_DISCRIMINANTS:
+        raise ValueError("no space for discriminant %r; use one of %s"
+                         % (disc, SPACE_DISCRIMINANTS))
+
+
+def _eisenstein_specs(main: DirichletChar) -> tuple:
+    """E3[a,b](tz) for every pair chi(a) chi(b) = main with t |a| |b| | 24:
+    E3[main,1] first, then E3[1,main], then the mixed pairs by |a|, each
+    over increasing t."""
+    pairs = [(a, b) for a in KNOWN_DISCRIMINANTS for b in KNOWN_DISCRIMINANTS
+             if 24 % abs(a * b) == 0
+             and all(chi(a)(n) * chi(b)(n) == main(n) for n in range(24))]
+    pairs.sort(key=lambda p: (p[1] != 1, p[0] != 1, abs(p[0])))
+    return tuple(EisensteinSpec(chi(a), chi(b), t)
+                 for a, b in pairs for t in divisors(24 // abs(a * b)))
+
+
 @cache
 def build_basis(disc: int) -> SpaceBasis:
     """The one basis of M_3(Gamma_0(24), chi(disc)), disc in -3, -4, -8, -24."""
-    if disc not in SPACE_DISCRIMINANTS:
-        raise ValueError("no space for discriminant %d; use one of %s"
-                         % (disc, (SPACE_DISCRIMINANTS,)))
-    trivial = chi(1)
+    check_discriminant(disc)
     main = chi(disc)
-    if disc == -24:
-        eis = (
-            EisensteinSpec(main, trivial, 1),
-            EisensteinSpec(trivial, main, 1),
-            EisensteinSpec(chi(-3), chi(8), 1),
-            EisensteinSpec(chi(8), chi(-3), 1),
-        )
-    else:
-        scales = _EIS_SCALES[disc]
-        eis = tuple(EisensteinSpec(main, trivial, t) for t in scales) + tuple(
-            EisensteinSpec(trivial, main, t) for t in scales
-        )
     cusp = tuple(EtaQuotient(24, exps) for exps in _CUSP_EXPONENTS[disc])
-    return SpaceBasis(character=main, eisenstein=eis, cusp=cusp)
+    return SpaceBasis(character=main, eisenstein=_eisenstein_specs(main), cusp=cusp)
 
 
 _EXPANSIONS: dict = {}  # discriminant -> tuple of every basis series

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -135,6 +136,29 @@ def test_rep_count_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"count": 820, "form": [1, 1, 2, 2, 3, 6], "method": "both", "n": 25}
+
+
+def test_rep_count_reads_the_coefficients_in_any_order(capsys):
+    # --form is converted once to the exponent tuple; the JSON form and
+    # the mismatch label are its coefficients, ascending
+    code, out, err = run_cli(capsys, "rep-count", "--form", "6,3,2,2,1,1", "--n", "25", "--json")
+    assert code == 0 and err == ""
+    assert out == '{"count": 820, "form": [1, 1, 2, 2, 3, 6], "method": "both", "n": 25}\n'
+
+
+def test_rep_count_names_a_formula_mismatch(capsys, monkeypatch):
+    true_formula = cli.rep_count_formula
+    monkeypatch.setattr(cli, "rep_count_formula", lambda row, n: true_formula(row, n) + 1)
+    code, out, err = run_cli(capsys, "rep-count", "--form", "6,3,2,2,1,1", "--n", "25")
+    assert code == 1 and out == ""
+    assert err == "mismatch: oracle 820 != formula 821 for 1,1,2,2,3,6 at n=25\n"
+
+
+def test_rep_count_refuses_a_non_integer_formula(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rep_count_formula", lambda row, n: Fraction(1, 2))
+    code, out, err = run_cli(capsys, "rep-count", "--form", "6,3,2,2,1,1", "--n", "25")
+    assert code == 1 and out == ""
+    assert err == "formula produced a non-integer count 1/2\n"
 
 
 def test_rep_count_mode_flags_exclude_each_other(capsys):

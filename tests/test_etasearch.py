@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -25,11 +26,19 @@ from qformlab.etasearch import (
     _progression,
     census_crosscheck,
     eisenstein_expressible,
+    enumerate_space,
     remark_rhs,
     verify_remark_identities,
 )
 from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
-from qformlab.spaces import SPACE_DISCRIMINANTS, _SpanSolver, first_deviation, span_solver, sturm_bound
+from qformlab.spaces import (
+    SPACE_DISCRIMINANTS,
+    _SpanSolver,
+    build_basis,
+    first_deviation,
+    span_solver,
+    sturm_bound,
+)
 
 EXPECTED = {-3: (6332, 140), -4: (6288, 40), -8: (2424, 4), -24: (2424, 0)}
 
@@ -183,6 +192,19 @@ def test_eisenstein_expressible_rejects_orders_outside_the_sturm_range():
         assert f.valuation24() == GRADE * lead
         assert ligozat_check(f).character == chi(-4)
         assert eisenstein_expressible(f, -4) is None
+
+
+def test_every_space_function_refuses_an_unknown_discriminant():
+    # one check, run before any other test: a quotient of fractional
+    # order (eta24[1,0,0,0,0,0,0,5]) and one of integral order alike
+    names = re.escape("use one of (-3, -4, -8, -24)")
+    with pytest.raises(ValueError, match=names):
+        build_basis(5)
+    with pytest.raises(ValueError, match=names):
+        enumerate_space(5)
+    for label in ("eta24[1,0,0,0,0,0,0,5]", "eta24[0,3,0,-4,-5,2,16,-6]"):
+        with pytest.raises(ValueError, match=names):
+            eisenstein_expressible(parse_eta(label), 5)
 
 
 def _coordinates(solver, y):
@@ -377,18 +399,28 @@ def test_remark_identities_roster():
         assert ligozat_check(f.lifted(24)).is_holomorphic
 
 
+# the constant terms of the displayed identities, as printed
+PRINTED_CONSTANTS = {
+    "eta8[-4,2,16,-8]": 1,
+    "eta4[-12,30,-12]": 1,
+    "eta4[-4,18,-8]": 1,
+    "eta8[-2,-5,23,-10]": 1,
+}
+
+
 def test_remark_rhs_constant_terms():
-    # the q^0 term of the right-hand side is the identity's constant
+    # the q^0 term of the right-hand side is derived from the E3 constant
+    # terms and equals the printed constant
     for ident in REMARK_IDENTITIES:
-        assert remark_rhs(ident, 3).qcoeff(0) == ident.constant
+        assert remark_rhs(ident, 3).qcoeff(0) == PRINTED_CONSTANTS.get(ident.label, 0)
 
 
 def test_remark_rhs_matches_twisted_divisor_sums():
-    # the sieve against the definition: constant + scale * sum c sigma(n/t)
+    # the series against the definition: scale * sum c sigma(n/t) past q^0
     for ident in REMARK_IDENTITIES:
         rhs = remark_rhs(ident, 301)
         assert rhs.trunc == GRADE * 301
-        assert rhs.qcoeff(0) == ident.constant
+        assert rhs.qcoeff(0) == PRINTED_CONSTANTS.get(ident.label, 0)
         for n in range(1, 301):
             want = ident.scale * sum(
                 c * sigma_twisted(2, chi(cd), chi(pd), n // t)
@@ -408,13 +440,14 @@ def test_verify_remark_identities():
 
 def test_verify_remark_identities_names_the_first_mismatch(monkeypatch):
     # the integer check against the Fraction right-hand side of remark_rhs:
-    # a wrong constant, a wrong scale (denominator 7) and an extra term
-    # each fail at the same first coefficient
+    # a wrong scale (denominator 7), an extra term with no constant and
+    # one whose E3[-4,1](7z) adds -1/4 at q^0 each fail at the same first
+    # coefficient
     broken = []
     for ident in REMARK_IDENTITIES:
-        broken.append(dataclasses.replace(ident, constant=ident.constant + 1))
         broken.append(dataclasses.replace(ident, scale=ident.scale * Fraction(5, 7)))
         broken.append(dataclasses.replace(ident, terms=ident.terms + ((1, 1, -4, 7),)))
+        broken.append(dataclasses.replace(ident, terms=ident.terms + ((1, -4, 1, 7),)))
     monkeypatch.setattr(etasearch, "REMARK_IDENTITIES", tuple(broken))
     reports = verify_remark_identities(precision=40)
     assert len(reports) == len(broken)
@@ -424,3 +457,5 @@ def test_verify_remark_identities_names_the_first_mismatch(monkeypatch):
         assert want is not None
         assert not rep.holds
         assert rep.first_mismatch == want, ident
+        if ident.terms[-1] == (1, -4, 1, 7):
+            assert want == 0

@@ -10,15 +10,14 @@ from qformlab.etaq import ligozat_check
 from qformlab.quadforms import (
     DISPUTED_CELLS,
     PHI,
-    QuadForm,
     all_forms,
     classify,
+    coefficients,
     compare_with_fixture,
     derive_formula,
     genfun,
     load_fixture,
     phi_eta_quotient,
-    rep_count_bruteforce,
     rep_count_formula,
     rep_counts_bruteforce,
 )
@@ -66,14 +65,16 @@ def test_classify_examples():
 
 
 def test_quadform_helpers():
-    form = QuadForm.from_coefficients((1, 1, 2, 2, 3, 6))
-    assert form.exponents == (2, 2, 1, 1)
-    assert form.coefficients == (1, 1, 2, 2, 3, 6)
-    assert form.character().discriminant == classify((2, 2, 1, 1)).discriminant
-    with pytest.raises(ValueError):
-        QuadForm.from_coefficients((1, 1, 1, 1, 1, 4))
-    with pytest.raises(ValueError):
-        QuadForm.from_coefficients((1, 1, 1, 1, 1))
+    # a form is its exponent tuple; `coefficients` lists its six coefficients
+    assert coefficients((2, 2, 1, 1)) == (1, 1, 2, 2, 3, 6)
+    assert coefficients((0, 0, 0, 6)) == (6,) * 6
+    for exps in all_forms():
+        cs = coefficients(exps)
+        assert list(cs) == sorted(cs)
+        assert tuple(cs.count(d) for d in (1, 2, 3, 6)) == exps
+    for bad in ((1, 1, 1, 1), (7, -1, 0, 0), (1, 1, 1, 1, 2), (6, 0, 0)):
+        with pytest.raises(ValueError, match="four nonnegatives summing to 6"):
+            coefficients(bad)
 
 
 def test_phi_eta_quotient_is_modular():
@@ -92,22 +93,21 @@ def test_bruteforce_small_cases():
     assert counts[2] == 60  # choose 2 positions, 4 sign pairs -> 15*4
     assert counts[3] == 160
     assert counts[4] == 252
-    assert rep_count_bruteforce((6, 0, 0, 0), 4) == 252
 
 
 def test_bruteforce_respects_coefficients():
     # x^2 + 2y^2 + 3z^2 + 6t^2 + 6u^2 + 6v^2
-    form = (1, 1, 1, 3)
-    assert rep_count_bruteforce(form, 1) == 2  # x = +-1
-    assert rep_count_bruteforce(form, 2) == 2  # y = +-1
-    assert rep_count_bruteforce(form, 3) == 6  # x, y both +-1, or z = +-1
-    with pytest.raises(ValueError):
-        rep_count_bruteforce(form, -1)
+    counts = rep_counts_bruteforce((1, 1, 1, 3), 3)
+    assert counts[1] == 2  # x = +-1
+    assert counts[2] == 2  # y = +-1
+    assert counts[3] == 6  # x, y both +-1, or z = +-1
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        rep_counts_bruteforce((1, 1, 1, 3), -1)
 
 
 def _all_signs_counts(form, nmax):
     """Reference oracle: every signed coordinate of Z^6 walked one by one."""
-    cs = QuadForm(tuple(form)).coefficients
+    cs = coefficients(form)
     counts = [0] * (nmax + 1)
     clast = cs[5]
 
@@ -142,9 +142,9 @@ def test_sign_orbits_match_the_all_signs_walk():
     nmax=st.integers(min_value=0, max_value=40),
 )
 def test_sign_orbits_match_the_all_signs_walk_drawn(coeffs, nmax):
-    form = QuadForm.from_coefficients(coeffs)
-    counts = rep_counts_bruteforce(form, nmax)
-    reference = _all_signs_counts(form.exponents, nmax)
+    exps = tuple(coeffs.count(d) for d in (1, 2, 3, 6))
+    counts = rep_counts_bruteforce(exps, nmax)
+    reference = _all_signs_counts(exps, nmax)
     assert sum(counts) == sum(reference)
     assert counts == reference
 

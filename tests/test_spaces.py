@@ -27,6 +27,11 @@ from qformlab.spaces import (
 EXPECTED_DIMENSIONS = {-3: 12, -4: 12, -8: 10, -24: 10}
 EXPECTED_EISENSTEIN = {-3: 8, -4: 8, -8: 4, -24: 4}
 
+# the Eisenstein halves as once transcribed: E3[chi,1](tz) and then
+# E3[1,chi](tz) over these t, and four specs for chi(-24)
+REFERENCE_SCALES = {-3: (1, 2, 4, 8), -4: (1, 2, 3, 6), -8: (1, 3)}
+REFERENCE_CHI_M24 = ("E3[-24,1,1]", "E3[1,-24,1]", "E3[-3,8,1]", "E3[8,-3,1]")
+
 
 def test_sturm_bound():
     # weight 3 on Gamma_0(24): (3/12) * [SL2(Z) : Gamma_0(24)] = 12
@@ -44,6 +49,18 @@ def test_basis_shape(disc):
     assert len(basis.eisenstein) == EXPECTED_EISENSTEIN[disc]
     assert len(basis.cusp) == basis.dimension - len(basis.eisenstein)
     assert len(basis.labels()) == basis.dimension
+
+
+@pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
+def test_derived_eisenstein_basis_matches_the_reference(disc):
+    labels = tuple(s.label() for s in build_basis(disc).eisenstein)
+    if disc == -24:
+        assert labels == REFERENCE_CHI_M24
+    else:
+        scales = REFERENCE_SCALES[disc]
+        assert labels == tuple("E3[%d,1,%d]" % (disc, t) for t in scales) + tuple(
+            "E3[1,%d,%d]" % (disc, t) for t in scales
+        )
 
 
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
