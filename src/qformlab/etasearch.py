@@ -38,6 +38,7 @@ from .spaces import (
     SPACE_DISCRIMINANTS,
     _SOLVERS,
     check_discriminant,
+    coefficient_rows,
     first_deviation,
     span_solver,
     sturm_bound,
@@ -275,7 +276,7 @@ def eisenstein_expressible(f: EtaQuotient, disc: int):
         return None
     _extend(key, a, g, CHECK_PRECISION - lead)
     full = QSeries(a, CHECK_PRECISION, val)
-    if first_deviation(full, nums, solver.columns, rows, CHECK_PRECISION, solver.den) is not None:
+    if first_deviation(full, nums, solver.table, rows, CHECK_PRECISION, solver.den) is not None:
         return None
     return tuple(Fraction(v, solver.den) for v in nums)
 
@@ -335,20 +336,24 @@ REMARK_IDENTITIES = (
 )
 
 
-def _rhs_terms(identity: RemarkIdentity, precision: int):
-    """(numerators, series, den) of the right side: scale * c = num / den
-    per term, and its E3[chi,psi](t z) with q^0..q^(precision-1) known."""
-    den, nums = common_denominator(identity.scale * c for c, _, _, _ in identity.terms)
-    series = [eisenstein3(chi(cd), chi(pd), t, precision) for _, cd, pd, t in identity.terms]
-    return nums, series, den
+def _rhs_terms(identities, precision: int):
+    """(numerators, rows, den) of each identity's right side: scale * c =
+    num / den per term, and row n the q^n coefficients of the terms'
+    E3[chi,psi](t z), n < precision.  Each distinct (chi, psi, t) is
+    expanded once for all the identities."""
+    keys = {(cd, pd, t) for ident in identities for _, cd, pd, t in ident.terms}
+    e3 = {k: eisenstein3(chi(k[0]), chi(k[1]), k[2], precision) for k in keys}
+    for ident in identities:
+        den, nums = common_denominator(ident.scale * c for c, _, _, _ in ident.terms)
+        rows = coefficient_rows([e3[cd, pd, t] for _, cd, pd, t in ident.terms], precision)
+        yield nums, rows, den
 
 
 def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
     """Right-hand side of one identity, q^0..q^(precision-1) known."""
-    nums, series, den = _rhs_terms(identity, precision)
+    [(nums, rows, den)] = _rhs_terms((identity,), precision)
     return QSeries(
-        [Fraction(sum(x * e.qcoeff(n) for x, e in zip(nums, series)), den) or 0
-         for n in range(precision)],
+        [Fraction(sum(map(mul, nums, row)), den) or 0 for row in rows],
         precision,
     )
 
@@ -365,13 +370,15 @@ def verify_remark_identities(precision: int = CHECK_PRECISION):
     """Check every displayed identity coefficient by coefficient.
 
     The check is the integer one of `solve_in_basis`: den * a(n) ==
-    sum num * E3(n) from q^0 on, with num/den the products scale * c.
+    sum num * E3(n) from q^0 on, with num/den the products scale * c,
+    read as rows of the E3 series, each distinct E3[chi,psi](tz)
+    expanded once for all the identities.
     """
     reports = []
-    for ident in REMARK_IDENTITIES:
+    rhs = _rhs_terms(REMARK_IDENTITIES, precision)
+    for ident, (nums, rows, den) in zip(REMARK_IDENTITIES, rhs):
         lhs = eta_quotient_expansion(parse_eta(ident.label), precision)
-        nums, series, den = _rhs_terms(ident, precision)
-        mismatch = first_deviation(lhs, nums, series, 0, precision, den)
+        mismatch = first_deviation(lhs, nums, rows, 0, precision, den)
         reports.append(
             IdentityReport(
                 label=ident.label,

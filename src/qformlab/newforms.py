@@ -30,7 +30,7 @@ from .arith import (
 from .characters import chi
 from .etaq import divisors
 from .qseries import GRADE, QSeries
-from .spaces import basis_expansions, build_basis, span_solver, sturm_bound
+from .spaces import basis_expansions, build_basis, coefficient_rows, span_solver, sturm_bound
 
 __all__ = [
     "K1",
@@ -186,10 +186,7 @@ def f1_reference() -> tuple:
 def solve_back_f1():
     """Recover the f1 combo from the ten reference coefficients alone."""
     _, cusp = _cusp_expansions(-3, 10)
-    mat = ExactMatrix.from_rows(
-        [[e.qcoeff(n) for e in cusp] for n in range(10)]
-    )
-    status, sol = mat.solve_linear(f1_reference())
+    status, sol = ExactMatrix.from_rows(coefficient_rows(cusp, 10)).solve_linear(f1_reference())
     if status != UNIQUE:
         raise ValueError("reference coefficients do not pin the combo (%s)" % status)
     return tuple(sol)

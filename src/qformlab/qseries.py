@@ -14,8 +14,9 @@ grade-24 unit stays inside this module, in `val` and `trunc` = 24 P.
 `QSeries` is a container, not a ring: every expansion is computed as
 one coefficient list (the integer eta kernel below, `eisenstein3`,
 `newforms._combine`) and wrapped once, and readers take coefficients by
-exponent.  Coefficients are int, Fraction or NumberFieldElement;
-nothing here ever touches floating point.
+exponent (`qcoeff`) or as one dense list from q^0 on (`qcoeffs`).
+Coefficients are int, Fraction or NumberFieldElement; nothing here ever
+touches floating point.
 """
 
 from itertools import accumulate
@@ -84,6 +85,19 @@ class QSeries:
     def qcoeff(self, n: int):
         """Coefficient of q^n (integer exponent)."""
         return self.coeff(GRADE * n)
+
+    def qcoeffs(self, stop: int) -> list:
+        """Coefficients of q^0..q^(stop-1) as one dense list; errors past
+        the truncation."""
+        if GRADE * stop > self.trunc:
+            raise IndexError("q^%d at or beyond precision %d" % (stop - 1, self.qprecision()))
+        out = [0] * stop
+        v, r = divmod(self.val, GRADE)
+        if not r and v < stop:
+            lo = max(v, 0)
+            part = self.coeffs[lo - v : stop - v]
+            out[lo : lo + len(part)] = part
+        return out
 
     def qprecision(self) -> int:
         """The precision P: q^0 .. q^(P-1) are known."""

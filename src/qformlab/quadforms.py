@@ -18,12 +18,13 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from math import isqrt
+from operator import mul
 
 from .arith import common_denominator
 from .characters import DirichletChar, sigma_twisted
 from .etaq import EtaQuotient, character_of
 from .qseries import QSeries, eta_quotient_expansion
-from .spaces import CHECK_PRECISION, basis_expansions, build_basis, solve_in_basis, sturm_bound
+from .spaces import CHECK_PRECISION, basis_expansions, build_basis, solve_in_basis, span_solver, sturm_bound
 
 __all__ = [
     "FormulaRow",
@@ -162,15 +163,22 @@ def derive_formula(exponents, precision: int = CHECK_PRECISION) -> FormulaRow:
 
 
 def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
-    """Evaluate the formula at n >= 1: twisted divisor sums plus cusp terms.
+    """Evaluate the formula at n >= 1.
 
-    The sum runs in ints over the row's one denominator, so a query
-    builds one `Fraction`, the result.
+    Below q^61 the value is one dot product of the row's numerators with
+    row n of the space solver's integer table, the basis coefficients at
+    q^n.  From q^61 on it is twisted divisor sums for the Eisenstein
+    terms plus the cusp expansions, grown to q^n.  Either sum runs in
+    ints over the row's one denominator, so a query builds one
+    `Fraction`, the result.
     """
     if n < 1:
         raise ValueError("the formula covers n >= 1")
-    basis = build_basis(row.character.discriminant)
+    disc = row.character.discriminant
     den, nums = row.integer_view
+    if n < CHECK_PRECISION:
+        return Fraction(sum(map(mul, nums, span_solver(disc).table[n])), den)
+    basis = build_basis(disc)
     ne = len(basis.eisenstein)
     total = 0
     for num, spec in zip(nums, basis.eisenstein):
@@ -178,7 +186,7 @@ def rep_count_formula(row: FormulaRow, n: int) -> Fraction:
             total += num * sigma_twisted(2, spec.chi, spec.psi, n // spec.t)
     cusp = nums[ne:]
     if any(cusp):
-        expansions = basis_expansions(row.character.discriminant, max(CHECK_PRECISION, n + 1), "cusp")
+        expansions = basis_expansions(disc, n + 1, "cusp")
         for num, series in zip(cusp, expansions[ne:]):
             if num:
                 total += num * series.qcoeff(n)

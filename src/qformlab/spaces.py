@@ -24,7 +24,7 @@ from operator import mul
 from .arith import ExactMatrix, INCONSISTENT, common_denominator
 from .characters import KNOWN_DISCRIMINANTS, DirichletChar, chi
 from .eisenstein import EisensteinSpec, eisenstein3
-from .etaq import EtaQuotient, ModularityReport, divisors, ligozat_check
+from .etaq import EtaQuotient, divisors, ligozat_check
 from .qseries import GRADE, QSeries, eta_quotient_expansion
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "check_discriminant",
     "build_basis",
     "basis_expansions",
+    "coefficient_rows",
     "verify_basis",
     "solve_in_basis",
     "first_deviation",
@@ -164,6 +165,11 @@ def basis_expansions(disc: int, precision: int, part: str = "basis"):
     return got
 
 
+def coefficient_rows(series, stop: int) -> list:
+    """Row n, for n < stop, holds the q^n coefficient of every series."""
+    return list(zip(*(s.qcoeffs(stop) for s in series)))
+
+
 @dataclass(frozen=True)
 class BasisReport:
     """verify_basis outcome: structural checks for one space basis."""
@@ -206,10 +212,7 @@ def verify_basis(disc: int) -> BasisReport:
     vals = tuple(f.valuation24() // GRADE for f in basis.cusp)
     rows = sturm_bound() + 1
     exps = basis_expansions(disc, rows)
-    mat = ExactMatrix.from_rows(
-        [[e.qcoeff(n) for e in exps] for n in range(rows)]
-    )
-    rank = mat.rank()
+    rank = ExactMatrix.from_rows(coefficient_rows(exps, rows)).rank()
     return BasisReport(
         character=basis.character,
         dimension=basis.dimension,
@@ -224,19 +227,20 @@ def verify_basis(disc: int) -> BasisReport:
     )
 
 
-def first_deviation(f: QSeries, coords, expansions, start: int, stop: int, den=1):
-    """First n in [start, stop) where den * f and sum(coords * expansions)
-    differ, or None when they agree on every coefficient checked.
+def first_deviation(f: QSeries, coords, rows, start: int, stop: int, den=1):
+    """First n in [start, stop) where den * f(n) and the dot product of
+    `coords` with rows[n] differ, or None when they agree on every
+    coefficient checked.
 
-    With integer numerators `coords` over a common denominator `den` and
-    integer series, every comparison is integer arithmetic.
+    `rows` is a `coefficient_rows` table, row n the q^n coefficients of
+    the series that `coords` combine; a row longer than `coords` is read
+    only as far as `coords` go.  f is read once, as one list.  With
+    integer numerators `coords` over a common denominator `den` and an
+    integer table, every comparison is integer arithmetic.
     """
+    got = f.qcoeffs(stop)
     for n in range(start, stop):
-        acc = 0
-        for x, e in zip(coords, expansions):
-            if x:
-                acc = acc + x * e.qcoeff(n)
-        if acc != den * f.qcoeff(n):
+        if sum(map(mul, coords, rows[n])) != den * got[n]:
             return n
     return None
 
@@ -251,9 +255,16 @@ class _SpanSolver:
     denominator `den`.  A candidate y lies in the span exactly when every
     kernel row is orthogonal to it; its coordinates are then the
     numerators L y over den.  On integer y every test is integer
-    arithmetic, and so is the verification of a hit past the sampled rows
-    against the columns, which are kept whole for it through q^60:
-    den * a(n) == sum num_i col_i(n).
+    arithmetic.
+
+    The columns are kept as one table, `table`, row n holding their q^n
+    coefficients for n < CHECK_PRECISION (`coefficient_rows`), all ints
+    past the Eisenstein constant terms of row 0; `samples` is its first
+    thirteen rows.  Every verification past the
+    sampled rows reads it, one dot product per coefficient: a census hit
+    or a solved series is checked as den * a(n) == sum num_i table[n][i]
+    through q^60, and rep_count_formula evaluates a formula row below
+    q^61 as the same dot product over den.
 
     The same factorization answers for the column sets inside the basis.
     y is in the Eisenstein span exactly when it is in the span and its
@@ -271,10 +282,10 @@ class _SpanSolver:
     """
 
     def __init__(self, columns, ne):
-        self.columns = columns
         self.ne = ne
         self.rows = range(sturm_bound() + 1)
-        self.samples = [[c.qcoeff(n) for c in columns] for n in self.rows]
+        self.table = coefficient_rows(columns, CHECK_PRECISION)
+        self.samples = self.table[: len(self.rows)]
         inverse, kernel = ExactMatrix.from_rows(self.samples).left_factor()
         self.kernel = [common_denominator(z)[1] for z in kernel]
         self.den, nums = common_denominator(v for row in inverse for v in row)
@@ -309,9 +320,9 @@ _SOLVERS: dict = {}  # discriminant -> _SpanSolver
 def span_solver(disc: int) -> _SpanSolver:
     """The solver of a space's whole basis, built on first use.
 
-    Its columns are kept through CHECK_PRECISION: census hits are
-    verified that far, and derive_formula solves at this precision by
-    default.
+    Its table of column coefficients runs through CHECK_PRECISION: census
+    hits are verified that far, derive_formula solves at this precision
+    by default, and rep_count_formula reads it below q^61.
     """
     got = _SOLVERS.get(disc)
     if got is None:
@@ -325,7 +336,9 @@ def solve_in_basis(f: QSeries, disc: int):
 
     Solves on the thirteen coefficients q^0..q^12 and then insists that
     every further coefficient known to f agrees; membership claimed by
-    the return value is exact, not truncated.
+    the return value is exact, not truncated.  Through q^60 the check
+    reads the solver's table; a longer f is checked against a table of
+    the basis expansions at its own precision.
     """
     if not f.is_integer_q():
         raise ValueError("series has fractional exponents; not in this space")
@@ -333,12 +346,14 @@ def solve_in_basis(f: QSeries, disc: int):
     prec = f.qprecision()
     if prec < rows:
         raise ValueError("need at least %d known coefficients, got %d" % (rows, prec))
-    expansions = basis_expansions(disc, prec)
     solver = span_solver(disc)
-    nums = solver.numerators([f.qcoeff(n) for n in range(rows)])
+    nums = solver.numerators(f.qcoeffs(rows))
     if nums is None:
         raise ValueError("no unique representation in this basis (%s)" % INCONSISTENT)
-    n = first_deviation(f, nums, expansions, rows, prec, solver.den)
+    table = solver.table
+    if prec > len(table):
+        table = coefficient_rows(basis_expansions(disc, prec), prec)
+    n = first_deviation(f, nums, table, rows, prec, solver.den)
     if n is not None:
         raise ValueError(
             "not in the space: coefficient of q^%d deviates from the "

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from qformlab import etasearch, qseries, spaces
 from qformlab.arith import UNIQUE, ExactMatrix
 from qformlab.characters import chi, sigma_twisted
-from qformlab.etaq import EtaQuotient, cusp_order, divisors, ligozat_check, parse_eta
+from qformlab.etaq import EtaQuotient, cusp_order, ligozat_check, parse_eta
 from qformlab.etasearch import (
     B_MATRIX,
     DIVISORS24,
@@ -32,9 +32,12 @@ from qformlab.etasearch import (
 )
 from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
 from qformlab.spaces import (
+    CHECK_PRECISION,
     SPACE_DISCRIMINANTS,
     _SpanSolver,
+    basis_expansions,
     build_basis,
+    coefficient_rows,
     first_deviation,
     span_solver,
     sturm_bound,
@@ -148,8 +151,6 @@ def test_enumerate_space_members_are_sound(census):
 def test_expressible_members_expand_correctly(census):
     result = census[-8]
     assert len(result.eisenstein_expressible) == 4
-    from qformlab.spaces import basis_expansions, build_basis
-
     basis = build_basis(-8)
     eis = basis_expansions(-8, 40)[: len(basis.eisenstein)]
     for f, coords in result.eisenstein_expressible:
@@ -223,7 +224,7 @@ def test_span_solver_recovers_seeded_combinations(disc):
     eisenstein = [row[:ne] for row in solver.samples]
     x = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(ne))
     y = [sum(map(mul, row, x)) for row in eisenstein]
-    assert _coordinates(solver, y) == x + (0,) * (len(solver.columns) - ne)
+    assert _coordinates(solver, y) == x + (0,) * (len(solver.table[0]) - ne)
     # moving one sampled coefficient leaves the Eisenstein span, unless
     # that unit vector itself lies in it (q^0, q^4, q^8, q^12 for chi(-3))
     reference = ExactMatrix.from_rows(eisenstein)
@@ -240,8 +241,9 @@ def test_span_solver_recovers_seeded_combinations(disc):
             outside += 1
             assert got is None or any(got[ne:])
     assert outside >= 9
+    columns = basis_expansions(disc, CHECK_PRECISION)
     with pytest.raises(ValueError):
-        _SpanSolver(solver.columns + solver.columns[:1], ne)
+        _SpanSolver(columns + columns[:1], ne)
 
 
 @pytest.mark.slow
@@ -270,7 +272,7 @@ def test_span_solver_matches_reference_solver(census):
                 full = eta_quotient_expansion(f, 61)
                 if any(nums[ne:]):
                     nums = None
-                elif first_deviation(full, nums, solver.columns, rows, 61, solver.den) is not None:
+                elif first_deviation(full, nums, solver.table, rows, 61, solver.den) is not None:
                     nums = None
             if nums is None:
                 assert f.exponents not in staged
@@ -361,14 +363,14 @@ def test_integer_verification_names_the_first_wrong_coefficient(k):
     assert not any(nums[solver.ne:])
     nums = nums[: solver.ne]
     assert solver.den > 1
-    assert first_deviation(g, nums, solver.columns, rows, 61, solver.den) is None
+    assert first_deviation(g, nums, solver.table, rows, 61, solver.den) is None
     coeffs = [g.qcoeff(n) for n in range(61)]
     coeffs[k] += 1
     moved = QSeries(coeffs, 61)
     assert [moved.qcoeff(n) for n in range(rows)] == [g.qcoeff(n) for n in range(rows)]
-    assert first_deviation(moved, nums, solver.columns, rows, 61, solver.den) == k
+    assert first_deviation(moved, nums, solver.table, rows, 61, solver.den) == k
     coords = tuple(Fraction(v, solver.den) for v in nums)
-    assert first_deviation(moved, coords, solver.columns, rows, 61) == k
+    assert first_deviation(moved, coords, solver.table, rows, 61) == k
 
 
 def test_brute_fiber_matches_census_fiber():
@@ -453,7 +455,7 @@ def test_verify_remark_identities_names_the_first_mismatch(monkeypatch):
     assert len(reports) == len(broken)
     for ident, rep in zip(broken, reports):
         lhs = eta_quotient_expansion(parse_eta(ident.label), 40)
-        want = first_deviation(lhs, (1,), (remark_rhs(ident, 40),), 0, 40)
+        want = first_deviation(lhs, (1,), coefficient_rows([remark_rhs(ident, 40)], 40), 0, 40)
         assert want is not None
         assert not rep.holds
         assert rep.first_mismatch == want, ident

@@ -163,6 +163,29 @@ def test_qseries_is_a_container():
         hash(QSeries.zero(1))
 
 
+def test_qcoeffs_is_qcoeff_read_as_one_list():
+    # the bulk reader against per-coefficient reads for every shape of
+    # series, at every stop up to its precision, and refused past it
+    series = [
+        QSeries([0, 0, 5, -1, 0, 2], 9),  # order 2: stored from q^2 on
+        eta_quotient_expansion(parse_eta("eta24[0,3,0,-4,-5,2,16,-6]"), 20),  # order 1
+        QSeries([1, 2, 3, 4], 5, -2 * GRADE),  # a pole of order 2
+        eta_quotient_expansion(parse_eta("eta1[1]"), 20),  # order 1/24: no integral power
+        QSeries.zero(7),
+        QSeries([1, 2, 0, 0, 0], 5),  # trailing zeros stripped
+    ]
+    assert series[0].val == 2 * GRADE
+    assert series[-1].coeffs == (1, 2)
+    for s in series:
+        P = s.qprecision()
+        for stop in range(P + 1):
+            assert s.qcoeffs(stop) == [s.qcoeff(n) for n in range(stop)], (s, stop)
+        with pytest.raises(IndexError):
+            s.qcoeffs(P + 1)
+        with pytest.raises(IndexError):
+            s.qcoeff(P)
+
+
 @pytest.mark.parametrize("P", [1, 13, 61, 100])
 def test_every_series_is_known_below_q_to_its_precision(P):
     # one precision unit: every constructor and expansion takes the

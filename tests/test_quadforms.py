@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -261,6 +262,45 @@ def _fraction_formula(row, n):
             if coeff:
                 total += coeff * series.qcoeff(n)
     return total
+
+
+def test_table_evaluation_matches_divisor_sum_reference():
+    # below q^61 a query is one dot product with a row of the solver's
+    # table; for all 84 derived rows it equals the reference sum of
+    # twisted divisor sums and cusp coefficients and the theta series,
+    # through the table's last row q^60 and past it at q^61 and q^62
+    rows = _row_sets()["derived"]
+    assert len(rows) == 84
+    for row in rows:
+        assert len(spaces.span_solver(row.character.discriminant).table) == 61
+        theta = genfun(row.exponents, 63)
+        for n in range(1, 63):
+            value = rep_count_formula(row, n)
+            assert value == _fraction_formula(row, n) == theta.qcoeff(n), (row.exponents, n)
+
+
+def test_table_queries_call_no_divisor_sum_and_no_expansion(monkeypatch):
+    # n < 61 reads the solver's table only; n >= 61 sums twisted divisor
+    # sums and reads the cusp expansions grown to q^n
+    row = derive_formula((1, 2, 2, 1))  # builds the solver of chi(-24)
+    assert any(row.eisenstein) and any(row.cusp)
+    small = (1, 24, 59, 60)
+    want = [_fraction_formula(row, n) for n in small]
+    calls = Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or inner(*a))
+
+    counted(quadforms, "sigma_twisted")
+    counted(quadforms, "basis_expansions")
+    counted(spaces, "basis_expansions")
+    assert [rep_count_formula(row, n) for n in small] == want
+    assert not calls
+    for n in (61, 62, 200):
+        calls.clear()
+        rep_count_formula(row, n)
+        assert calls["sigma_twisted"] >= 1 and calls["basis_expansions"] == 1, (n, calls)
 
 
 def _disputed_as_23rds(row):

@@ -201,7 +201,7 @@ PARTS = ("basis", "eisenstein", "cusp")
 
 def _part(solver, part):
     """(column indices, sampled row indices) of one column set."""
-    k = len(solver.columns)
+    k = len(solver.table[0])
     return {
         "basis": (range(k), solver.rows),
         "eisenstein": (range(solver.ne), solver.rows),
@@ -267,13 +267,12 @@ def test_span_solver_matches_solve_linear(disc, part, data):
 @pytest.mark.parametrize("disc", SPACE_DISCRIMINANTS)
 def test_span_solver_rejects_dependent_columns(disc, part):
     solver = span_solver(disc)
-    assert len(solver.kernel) == len(solver.rows) - len(solver.columns)
+    assert len(solver.kernel) == len(solver.rows) - len(solver.table[0])
     # one more column: the sum of the set's own columns
     cols, _ = _part(solver, part)
-    known = min(c.qprecision() for c in solver.columns)
-    extra = QSeries([sum(solver.columns[j].qcoeff(n) for j in cols) for n in range(known)], known)
+    extra = QSeries([sum(row[j] for j in cols) for row in solver.table], len(solver.table))
     with pytest.raises(ValueError, match="dependent columns"):
-        _SpanSolver(solver.columns + (extra,), solver.ne)
+        _SpanSolver(basis_expansions(disc, len(solver.table)) + (extra,), solver.ne)
 
 
 # length of the shortest dependent prefix of the Eisenstein samples:
