@@ -5,7 +5,13 @@ the holomorphy checker (ligozat-check), the space bases (basis),
 representation numbers (rep-count, derive-table, verify-tables),
 newforms (verify-newforms), and the census (census, verify-remarks).
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
-Identical invocations produce byte-identical output.
+
+Each subcommand builds one record, a dict of JSON values, and `main`
+prints one rendering of it: the record itself under `--json` (less the
+one text-only key of verify-newforms), otherwise the lines of the
+subcommand's text renderer, which reads only the record and the parsed
+arguments.  Identical invocations produce
+byte-identical output.
 """
 
 import argparse
@@ -42,8 +48,6 @@ from .quadforms import (
 )
 from .spaces import SPACE_DISCRIMINANTS, build_basis, verify_basis
 
-_CHAR_CHOICES = SPACE_DISCRIMINANTS
-
 # Largest n that rep-count answers, per method; past them it exits 2
 # before any work.  Slowest form at the bound on a 2-vCPU KVM guest:
 ENUMERATOR_MAX_N = 800  # default mode and --oracle: 5.7 s (1,1,1,1,1,1)
@@ -65,10 +69,13 @@ def _check_bound(what: str, value: int, bound: int) -> None:
         raise ValueError("%s is %d, above the bound %d" % (what, value, bound))
 
 
-def _q_power(e: int) -> str:
-    if e == 0:
+def _ok(flag) -> str:
+    return "ok" if flag else "FAIL"
+
+
+def _q_power(n: Fraction) -> str:
+    if n == 0:
         return ""
-    n = Fraction(e, GRADE)
     if n == 1:
         return "q"
     if n.denominator == 1:
@@ -76,31 +83,10 @@ def _q_power(e: int) -> str:
     return "q^(%s)" % n
 
 
-def format_series(series) -> str:
-    """Deterministic one-line rendering with a trailing O-term."""
-    parts = []
-    for e, c in series.terms():
-        neg = c < 0
-        mag = -c if neg else c
-        qp = _q_power(e)
-        if not qp:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = qp
-        else:
-            body = "%s*%s" % (format_rational(mag), qp)
-        if not parts:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    if not parts:
-        parts.append("0")
-    parts.append(" + O(%s)" % (_q_power(series.trunc) or "1"))
-    return "".join(parts)
-
-
-def _series_json(series):
+def _series_record(label: str, precision: int, series) -> dict:
     return {
+        "label": label,
+        "precision": precision,
         "terms": [
             [str(Fraction(e, GRADE)), format_rational(c)]
             for e, c in series.terms()
@@ -109,14 +95,19 @@ def _series_json(series):
     }
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+def _render_series(record, args):
+    """One line: the label, the nonzero terms and a trailing O-term."""
+    text = ""
+    for e, c in record["terms"]:
+        mag, qp = c.lstrip("-"), _q_power(Fraction(e))
+        body = mag if not qp else qp if mag == "1" else "%s*%s" % (mag, qp)
+        text += (" - " if mag != c else " + ") + body
+    sign = "-" if text.startswith(" - ") else ""
+    o_term = _q_power(Fraction(record["o_term"])) or "1"
+    yield "%s = %s + O(%s)" % (record["label"], sign + text[3:] or "0", o_term)
 
 
-def _cmd_eta_expand(args) -> int:
+def _cmd_eta_expand(args):
     f = parse_eta(args.label)
     order = Fraction(f.valuation24(), GRADE)
     if args.precision + 1 <= order:
@@ -128,16 +119,13 @@ def _cmd_eta_expand(args) -> int:
     steps = ceil(args.precision + 1 - order)
     _check_bound("the q-step count of --precision %d" % args.precision, steps, ETA_MAX_COEFFS)
     series = eta_quotient_expansion(f, args.precision + 1)
-    payload = {"label": f.label(), "precision": args.precision}
-    payload.update(_series_json(series))
-    _emit(args, payload, "%s = %s" % (f.label(), format_series(series)))
-    return 0
+    return _series_record(f.label(), args.precision, series), 0
 
 
-def _cmd_ligozat_check(args) -> int:
+def _cmd_ligozat_check(args):
     f = parse_eta(args.label)
     rep = ligozat_check(f)
-    payload = {
+    record = {
         "label": f.label(),
         "weight": format_rational(rep.weight),
         "order_at_infinity_mod24": rep.cond_24_divides_at_infinity,
@@ -151,80 +139,79 @@ def _cmd_ligozat_check(args) -> int:
         "holomorphic": rep.is_holomorphic,
         "cuspidal": rep.is_cuspidal,
     }
-    lines = [
-        "%s: weight %s" % (f.label(), format_rational(rep.weight)),
-        "  cusp orders: "
-        + ", ".join("1/%d: %s" % (c, format_rational(v)) for c, v in rep.cusp_orders),
-        "  24 | order sums at infinity/zero: %s/%s"
-        % (rep.cond_24_divides_at_infinity, rep.cond_24_divides_at_zero),
-        "  character: %s"
-        % (("chi(%d)" % rep.character.discriminant) if rep.character else "none"),
-        "  holomorphic: %s, cuspidal: %s" % (rep.is_holomorphic, rep.is_cuspidal),
-    ]
-    _emit(args, payload, "\n".join(lines))
-    return 0 if rep.is_holomorphic else 1
+    return record, 0 if rep.is_holomorphic else 1
 
 
-def _cmd_eisenstein(args) -> int:
+def _render_ligozat_check(record, args):
+    yield "%s: weight %s" % (record["label"], record["weight"])
+    yield "  cusp orders: " + ", ".join("%s: %s" % item for item in record["cusp_orders"].items())
+    yield "  24 | order sums at infinity/zero: %s/%s" % (
+        record["order_at_infinity_mod24"],
+        record["order_at_zero_mod24"],
+    )
+    character = record["character"]
+    yield "  character: %s" % ("none" if character is None else "chi(%d)" % character)
+    yield "  holomorphic: %s, cuspidal: %s" % (record["holomorphic"], record["cuspidal"])
+
+
+def _cmd_eisenstein(args):
     spec = parse_e3(args.label)
     if args.precision < 0:
         raise ValueError("--precision must be nonnegative")
     _check_bound("--precision", args.precision, EISENSTEIN_MAX_PRECISION)
     series = eisenstein3(spec.chi, spec.psi, spec.t, args.precision + 1)
-    payload = {"label": spec.label(), "precision": args.precision}
-    payload.update(_series_json(series))
-    _emit(args, payload, "%s = %s" % (spec.label(), format_series(series)))
-    return 0
+    return _series_record(spec.label(), args.precision, series), 0
 
 
-def _selected_discs(args):
-    return (args.char,) if args.char is not None else _CHAR_CHOICES
+def _per_space(args, entry):
+    """{str(disc): entry(disc)} over the selected spaces, and exit code 1
+    when an entry's "ok" is false (a derive-table entry is a row list)."""
+    discs = (args.char,) if args.char is not None else SPACE_DISCRIMINANTS
+    record = {str(disc): entry(disc) for disc in discs}
+    return record, int(any(isinstance(e, dict) and not e.get("ok", True) for e in record.values()))
 
 
-def _cmd_basis(args) -> int:
-    if args.action == "dump":
-        payload = {}
-        lines = []
-        for disc in _selected_discs(args):
-            basis = build_basis(disc)
-            lines.append("chi(%d): dimension %d" % (disc, basis.dimension))
-            for spec in basis.eisenstein:
-                lines.append("  %s" % spec.label())
-            for f in basis.cusp:
-                lines.append("  %s (order %d)" % (f.label(), f.valuation24() // GRADE))
-            payload[str(disc)] = {
-                "dimension": basis.dimension,
-                "eisenstein": [s.label() for s in basis.eisenstein],
-                "cusp": [f.label() for f in basis.cusp],
-            }
-        _emit(args, payload, "\n".join(lines))
-        return 0
-    ok = True
-    payload = {}
-    lines = []
-    for disc in _selected_discs(args):
-        rep = verify_basis(disc)
-        ok = ok and rep.ok
-        lines.append(
-            "chi(%d): rank %d/%d, cusp forms %s, distinct orders %s -> %s"
-            % (
+def _basis_dump(disc: int) -> dict:
+    basis = build_basis(disc)
+    return {
+        "dimension": basis.dimension,
+        "eisenstein": [s.label() for s in basis.eisenstein],
+        "cusp": [f.label() for f in basis.cusp],
+    }
+
+
+def _basis_verify(disc: int) -> dict:
+    rep = verify_basis(disc)
+    return {
+        "rank": rep.rank,
+        "dimension": rep.dimension,
+        "cusp_forms_ok": rep.cusp_forms_ok and rep.characters_ok,
+        "valuations": list(rep.valuations),
+        "ok": rep.ok,
+    }
+
+
+def _cmd_basis(args):
+    return _per_space(args, _basis_dump if args.action == "dump" else _basis_verify)
+
+
+def _render_basis(record, args):
+    for disc, entry in record.items():
+        if args.action == "dump":
+            yield "chi(%s): dimension %d" % (disc, entry["dimension"])
+            yield from ("  " + label for label in entry["eisenstein"])
+            for label in entry["cusp"]:
+                yield "  %s (order %d)" % (label, parse_eta(label).valuation24() // GRADE)
+        else:
+            vals = entry["valuations"]
+            yield "chi(%s): rank %d/%d, cusp forms %s, distinct orders %s -> %s" % (
                 disc,
-                rep.rank,
-                rep.dimension,
-                "ok" if rep.cusp_forms_ok and rep.characters_ok else "FAIL",
-                "ok" if rep.valuations_distinct else "FAIL",
-                "pass" if rep.ok else "FAIL",
+                entry["rank"],
+                entry["dimension"],
+                _ok(entry["cusp_forms_ok"]),
+                _ok(len(set(vals)) == len(vals)),
+                "pass" if entry["ok"] else "FAIL",
             )
-        )
-        payload[str(disc)] = {
-            "rank": rep.rank,
-            "dimension": rep.dimension,
-            "cusp_forms_ok": rep.cusp_forms_ok and rep.characters_ok,
-            "valuations": list(rep.valuations),
-            "ok": rep.ok,
-        }
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
 
 
 def _parse_form(text: str) -> tuple:
@@ -238,7 +225,7 @@ def _parse_form(text: str) -> tuple:
     return tuple(coeffs.count(d) for d in (1, 2, 3, 6))
 
 
-def _cmd_rep_count(args) -> int:
+def _cmd_rep_count(args):
     exps = _parse_form(args.form)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
@@ -264,7 +251,7 @@ def _cmd_rep_count(args) -> int:
             value = rep_count_formula(row, args.n)
             if value.denominator != 1:
                 print("formula produced a non-integer count %s" % value, file=sys.stderr)
-                return 1
+                return None, 1
             formula = value.numerator
     if oracle is not None and formula is not None and oracle != formula:
         print(
@@ -272,87 +259,90 @@ def _cmd_rep_count(args) -> int:
             % (oracle, formula, ",".join(map(str, coefficients(exps))), args.n),
             file=sys.stderr,
         )
-        return 1
-    count = oracle if oracle is not None else formula
-    payload = {
+        return None, 1
+    record = {
         "form": list(coefficients(exps)),
         "n": args.n,
-        "count": count,
+        "count": oracle if oracle is not None else formula,
         "method": "oracle" if args.oracle else ("formula" if args.formula else "both"),
     }
-    _emit(args, payload, "%d" % count)
-    return 0
+    return record, 0
 
 
-def _row_text(row) -> str:
-    cells = " ".join(format_rational(v) for v in row.values())
-    return "%d %d %d %d  %s" % (row.exponents + (cells,))
+def _render_rep_count(record, args):
+    yield "%d" % record["count"]
 
 
-def _cmd_derive_table(args) -> int:
-    payload = {}
-    lines = []
-    for disc in _selected_discs(args):
-        rows = [
-            derive_formula(exps)
-            for exps in all_forms()
-            if classify(exps).discriminant == disc
-        ]
-        lines.append("# chi(%d): %d rows" % (disc, len(rows)))
-        lines.extend(_row_text(row) for row in rows)
-        payload[str(disc)] = [
-            {
-                "exponents": list(row.exponents),
-                "values": [format_rational(v) for v in row.values()],
-            }
-            for row in rows
-        ]
-    _emit(args, payload, "\n".join(lines))
-    return 0
-
-
-def _cmd_verify_tables(args) -> int:
-    ok = True
-    payload = {}
-    lines = []
-    for disc in _selected_discs(args):
-        comp = compare_with_fixture(disc)
-        bad = comp.undisputed_mismatches()
-        ok = ok and not bad
-        lines.append(
-            "chi(%d): %d rows, %d mismatch(es), %d undisputed -> %s"
-            % (
-                disc,
-                comp.rows,
-                len(comp.mismatches),
-                len(bad),
-                "pass" if not bad else "FAIL",
-            )
-        )
-        for exps, col, derived, printed in comp.mismatches:
-            tag = "DISPUTED" if (exps, col) in DISPUTED_CELLS else "UNDISPUTED"
-            lines.append(
-                "  row %s column %d: derived %s, printed %s [%s]"
-                % (exps, col, format_rational(derived), format_rational(printed), tag)
-            )
-        payload[str(disc)] = {
-            "rows": comp.rows,
-            "mismatches": [
-                {
-                    "exponents": list(exps),
-                    "column": col,
-                    "derived": format_rational(derived),
-                    "printed": format_rational(printed),
-                }
-                for exps, col, derived, printed in comp.mismatches
-            ],
-            "ok": not bad,
+def _table_rows(disc: int) -> list:
+    return [
+        {
+            "exponents": list(exps),
+            "values": [format_rational(v) for v in derive_formula(exps).values()],
         }
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
+        for exps in all_forms()
+        if classify(exps).discriminant == disc
+    ]
 
 
-def _cmd_verify_newforms(args) -> int:
+def _cmd_derive_table(args):
+    return _per_space(args, _table_rows)
+
+
+def _render_derive_table(record, args):
+    for disc, rows in record.items():
+        yield "# chi(%s): %d rows" % (disc, len(rows))
+        for row in rows:
+            yield "%d %d %d %d  %s" % (*row["exponents"], " ".join(row["values"]))
+
+
+def _table_comparison(disc: int) -> dict:
+    comp = compare_with_fixture(disc)
+    return {
+        "rows": comp.rows,
+        "mismatches": [
+            {
+                "exponents": list(exps),
+                "column": col,
+                "derived": format_rational(derived),
+                "printed": format_rational(printed),
+            }
+            for exps, col, derived, printed in comp.mismatches
+        ],
+        "ok": not comp.undisputed_mismatches(),
+    }
+
+
+def _cmd_verify_tables(args):
+    return _per_space(args, _table_comparison)
+
+
+def _render_verify_tables(record, args):
+    for disc, entry in record.items():
+        tags = [
+            "DISPUTED" if (tuple(m["exponents"]), m["column"]) in DISPUTED_CELLS else "UNDISPUTED"
+            for m in entry["mismatches"]
+        ]
+        yield "chi(%s): %d rows, %d mismatch(es), %d undisputed -> %s" % (
+            disc,
+            entry["rows"],
+            len(tags),
+            tags.count("UNDISPUTED"),
+            "pass" if entry["ok"] else "FAIL",
+        )
+        for m, tag in zip(entry["mismatches"], tags):
+            yield "  row %s column %d: derived %s, printed %s [%s]" % (
+                tuple(m["exponents"]), m["column"], m["derived"], m["printed"], tag
+            )
+
+
+# The plain verify-newforms output shows the a(1) and p^2 relation flags of
+# each Hecke check, which its JSON output leaves out.  They ride in the
+# record under this key, {name: [a1_ok, [[p, ok], ...]]}, and the JSON
+# rendering drops it.
+_TEXT_ONLY = "text_only"
+
+
+def _cmd_verify_newforms(args):
     if args.precision < 13:
         raise ValueError("--precision must be at least 13")
     _check_bound("--precision", args.precision, NEWFORMS_MAX_PRECISION)
@@ -361,102 +351,101 @@ def _cmd_verify_newforms(args) -> int:
         if not 1 <= args.index <= len(names):
             raise ValueError("--index must be in 1..%d" % len(names))
         names = [names[args.index - 1]]
-    ok = True
-    payload = {}
-    lines = []
+    record, flags = {}, {}
     count = args.precision + 1
     for name in names:
-        entry = {}
+        entry = record[name] = {}
         if name == "f1":
             built = build_newform("f1", max(count, 10))
-            ref_ok = all(built.qcoeff(n) == c for n, c in enumerate(f1_reference()))
-            combo = solve_back_f1()
-            solve_ok = combo == get_spec("f1").scalars()
-            entry["reference_ok"] = ref_ok
-            entry["solve_back_ok"] = solve_ok
-            lines.append(
-                "f1: reference through q^9 %s, solve-back %s"
-                % ("ok" if ref_ok else "FAIL", "ok" if solve_ok else "FAIL")
-            )
-            ok = ok and ref_ok and solve_ok
+            entry["reference_ok"] = all(built.qcoeff(n) == c for n, c in enumerate(f1_reference()))
+            entry["solve_back_ok"] = solve_back_f1() == get_spec("f1").scalars()
         rep = check_eigenform(name, count)
         entry["hecke_ok"] = rep.ok
         entry["pairs_checked"] = rep.pairs_checked
-        lines.append(
-            "%s: hecke %s (a(1) %s, %d coprime pairs, p^2 relations %s)"
-            % (
-                name,
-                "ok" if rep.ok else "FAIL",
-                "ok" if rep.a1_ok else "FAIL",
-                rep.pairs_checked,
-                ",".join("%d:%s" % (p, "ok" if f else "FAIL") for p, f in rep.hecke_p2_ok),
+        flags[name] = [rep.a1_ok, [[p, f] for p, f in rep.hecke_p2_ok]]
+        if not rep.ok and get_spec(name).field is not None:
+            red = rederive_newform(name, precision=count)
+            entry["fallback"] = {
+                "operator": list(red.operator),
+                "field_poly": [format_rational(c) for c in red.field_poly],
+                "hecke_ok": red.ok,
+                "matches_printed_minpoly": red.minpoly_match,
+                "note": red.note,
+            }
+    checks = ("reference_ok", "solve_back_ok", "hecke_ok")
+    ok = all(v for entry in record.values() for k, v in entry.items() if k in checks)
+    record[_TEXT_ONLY] = flags
+    return record, 0 if ok else 1
+
+
+def _render_verify_newforms(record, args):
+    for name, (a1_ok, p2_ok) in record[_TEXT_ONLY].items():
+        entry = record[name]
+        if "reference_ok" in entry:
+            yield "%s: reference through q^9 %s, solve-back %s" % (
+                name, _ok(entry["reference_ok"]), _ok(entry["solve_back_ok"])
             )
+        yield "%s: hecke %s (a(1) %s, %d coprime pairs, p^2 relations %s)" % (
+            name,
+            _ok(entry["hecke_ok"]),
+            _ok(a1_ok),
+            entry["pairs_checked"],
+            ",".join("%d:%s" % (p, _ok(f)) for p, f in p2_ok),
         )
-        if not rep.ok:
-            ok = False
-            if get_spec(name).field is not None:
-                red = rederive_newform(name, precision=count)
-                op = _operator_label(red.operator) or "none"
-                entry["fallback"] = {
-                    "operator": list(red.operator),
-                    "field_poly": [format_rational(c) for c in red.field_poly],
-                    "hecke_ok": red.ok,
-                    "matches_printed_minpoly": red.minpoly_match,
-                    "note": red.note,
-                }
-                lines.append(
-                    "  fallback %s: field %s, hecke %s, printed-minpoly match %s (%s)"
-                    % (
-                        op,
-                        [format_rational(c) for c in red.field_poly],
-                        "ok" if red.ok else "FAIL",
-                        red.minpoly_match,
-                        red.note,
-                    )
-                )
-        payload[name] = entry
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
+        if "fallback" in entry:
+            red = entry["fallback"]
+            yield "  fallback %s: field %s, hecke %s, printed-minpoly match %s (%s)" % (
+                _operator_label(red["operator"]) or "none",
+                red["field_poly"],
+                _ok(red["hecke_ok"]),
+                red["matches_printed_minpoly"],
+                red["note"],
+            )
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     if args.emit and args.char is None:
         raise ValueError("--emit needs --char")
-    payload = {}
-    lines = []
-    for disc in _selected_discs(args):
+
+    def entry(disc):
         result = enumerate_space(disc)
         m = len(result.members)
         e = len(result.eisenstein_expressible)
-        lines.append("chi(%d): %d members, %d eisenstein-expressible" % (disc, m, e))
-        payload[str(disc)] = {"members": m, "expressible": e}
         if args.emit:
             with open(args.emit, "w") as fh:
                 for f in result.members:
                     fh.write(f.label() + "\n")
                 fh.write("# members %d expressible %d\n" % (m, e))
-    _emit(args, payload, "\n".join(lines))
-    return 0
+        return {"members": m, "expressible": e}
+
+    return _per_space(args, entry)
 
 
-def _cmd_verify_remarks(args) -> int:
+def _render_census(record, args):
+    for disc, entry in record.items():
+        yield "chi(%s): %d members, %d eisenstein-expressible" % (
+            disc, entry["members"], entry["expressible"]
+        )
+
+
+def _cmd_verify_remarks(args):
     if args.precision < 13:
         raise ValueError("--precision must be at least 13")
     _check_bound("--precision", args.precision, REMARKS_MAX_PRECISION)
     reports = verify_remark_identities(args.precision + 1)
-    lines = []
-    payload = {}
-    for rep in reports:
-        if rep.holds:
-            lines.append("%s: ok through q^%d" % (rep.label, args.precision))
+    record = {
+        rep.label: {"holds": rep.holds, "first_mismatch": rep.first_mismatch}
+        for rep in reports
+    }
+    return record, 0 if all(r.holds for r in reports) else 1
+
+
+def _render_verify_remarks(record, args):
+    for label, entry in record.items():
+        if entry["holds"]:
+            yield "%s: ok through q^%d" % (label, args.precision)
         else:
-            lines.append("%s: FAIL at q^%d" % (rep.label, rep.first_mismatch))
-        payload[rep.label] = {
-            "holds": rep.holds,
-            "first_mismatch": rep.first_mismatch,
-        }
-    _emit(args, payload, "\n".join(lines))
-    return 0 if all(r.holds for r in reports) else 1
+            yield "%s: FAIL at q^%d" % (label, entry["first_mismatch"])
 
 
 # built once per process: every parse starts a fresh Namespace, and no
@@ -471,44 +460,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_char(p, required=False):
+    def add_char(p):
         p.add_argument(
-            "--char",
-            type=int,
-            choices=_CHAR_CHOICES,
-            required=required,
-            help="character discriminant",
+            "--char", type=int, choices=SPACE_DISCRIMINANTS, help="character discriminant"
         )
 
-    def add_common(p, precision_default):
-        p.add_argument(
-            "--precision",
-            type=int,
-            default=precision_default,
-            help="highest q-power (default %d)" % precision_default,
-        )
-        p.add_argument("--json", action="store_true", help="JSON output")
+    def add_precision(p, default):
+        doc = "highest q-power (default %d)" % default
+        p.add_argument("--precision", type=int, default=default, help=doc)
 
     p = sub.add_parser("eta-expand", help="expand an eta quotient")
     p.add_argument("label", help="e.g. eta24[0,3,0,-4,-5,2,16,-6]")
-    add_common(p, 60)
-    p.set_defaults(func=_cmd_eta_expand)
+    add_precision(p, 60)
+    p.set_defaults(func=_cmd_eta_expand, render=_render_series)
 
     p = sub.add_parser("ligozat-check", help="holomorphy test for an eta quotient")
     p.add_argument("label")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_ligozat_check)
+    p.set_defaults(func=_cmd_ligozat_check, render=_render_ligozat_check)
 
     p = sub.add_parser("eisenstein", help="expand a twisted Eisenstein series")
     p.add_argument("label", help="e.g. E3[-4,1,2]")
-    add_common(p, 60)
-    p.set_defaults(func=_cmd_eisenstein)
+    add_precision(p, 60)
+    p.set_defaults(func=_cmd_eisenstein, render=_render_series)
 
     p = sub.add_parser("basis", help="dump or verify the four space bases")
     p.add_argument("action", choices=("dump", "verify"))
     add_char(p)
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_basis)
+    p.set_defaults(func=_cmd_basis, render=_render_basis)
 
     p = sub.add_parser("rep-count", help="representation number of one form")
     p.add_argument("--form", required=True, help="6 coefficients, e.g. 1,1,1,1,3,3")
@@ -516,45 +494,49 @@ def _build_parser() -> argparse.ArgumentParser:
     method = p.add_mutually_exclusive_group()
     method.add_argument("--oracle", action="store_true", help="brute force only")
     method.add_argument("--formula", action="store_true", help="derived formula only")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_rep_count)
+    p.set_defaults(func=_cmd_rep_count, render=_render_rep_count)
 
     p = sub.add_parser("derive-table", help="derive the coefficient tables")
     add_char(p)
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_derive_table)
+    p.set_defaults(func=_cmd_derive_table, render=_render_derive_table)
 
     p = sub.add_parser("verify-tables", help="compare derived tables to the fixtures")
     add_char(p)
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_verify_tables)
+    p.set_defaults(func=_cmd_verify_tables, render=_render_verify_tables)
 
     p = sub.add_parser("verify-newforms", help="Hecke checks for the five newforms")
     p.add_argument("--index", type=int, help="1..5, default all")
-    add_common(p, 119)
-    p.set_defaults(func=_cmd_verify_newforms)
+    add_precision(p, 119)
+    p.set_defaults(func=_cmd_verify_newforms, render=_render_verify_newforms)
 
     p = sub.add_parser("census", help="eta-quotient census of the four spaces")
     add_char(p)
     p.add_argument("--emit", help="write member labels to this path")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_census, render=_render_census)
 
     p = sub.add_parser("verify-remarks", help="check the displayed identities")
-    add_common(p, 60)
-    p.set_defaults(func=_cmd_verify_remarks)
+    add_precision(p, 60)
+    p.set_defaults(func=_cmd_verify_remarks, render=_render_verify_remarks)
 
+    # added last, so --json ends every usage line
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="JSON output")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        record, code = args.func(args)
+        if record is not None and args.json:
+            shown = {k: v for k, v in record.items() if k != _TEXT_ONLY}
+            print(json.dumps(shown, sort_keys=True))
+        elif record is not None:
+            print("\n".join(args.render(record, args)))
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
+from qformlab import etaq
 from qformlab.characters import chi
-
+from qformlab.cli import main
 from qformlab.etaq import (
+    ETA_MAX_LEVEL,
     EtaQuotient,
     character_of,
     cusp_order,
@@ -54,6 +56,32 @@ def test_parse_rejects_junk():
     for text in ("eta24", "eta24[]", "phi[1]", "eta6[1,2]"):
         with pytest.raises(ValueError):
             parse_eta(text)
+
+
+def test_parse_eta_level_bound_is_inclusive(monkeypatch):
+    n = ETA_MAX_LEVEL
+    exps = ["1"] + ["0"] * (len(divisors(n)) - 1)
+    assert parse_eta("eta%d[%s]" % (n, ",".join(exps))).level == n
+
+    def unlisted(level):
+        raise AssertionError("divisors(%d) listed" % level)
+
+    # refused before any divisor is listed
+    monkeypatch.setattr(etaq, "divisors", unlisted)
+    for level in (n + 1, 10**17):
+        with pytest.raises(ValueError, match="level %d is above the bound %d" % (level, n)):
+            parse_eta("eta%d[1]" % level)
+
+
+@pytest.mark.parametrize("command", ["ligozat-check", "eta-expand"])
+def test_huge_level_exits_2_at_once(capsys, command):
+    # trial division up to sqrt(10^17) ran past 20 s before the bound
+    start = time.perf_counter()
+    assert main([command, "eta100000000000000000[1]"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: level 100000000000000000 is above the bound %d\n" % ETA_MAX_LEVEL
 
 
 def test_lifted():

@@ -11,12 +11,22 @@ recorded before the brute-force oracle walked sign orbits.  Any change
 to a printed number, label or layout shows up here as a digest
 mismatch.  Each case runs in-process, so the whole file takes about
 three seconds.
+
+The `--help` digests were recorded before `--json` was declared once for
+every subcommand; they are taken at 80 columns, since argparse wraps its
+help to the terminal width.  The text cases are also rendered from their
+records alone, to show that the plain output carries nothing the record
+lacks.
 """
 
+import dataclasses
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
+from qformlab import cli, quadforms
 from qformlab.cli import main
 
 # (argv, exit code, SHA-256 of stdout)
@@ -80,3 +90,103 @@ def test_golden_stdout(capsys, argv, code, digest):
     out = capsys.readouterr().out
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# (subcommand, SHA-256 of its --help stdout at 80 columns)
+HELP = (
+    ((), '51bc2ac7100c3e08835db84ed861931d122cbb9ab7554cc8c61a34f46ed9310e'),
+    (('eta-expand',), 'e40448e0dff91365f5a77ab3e5c92fed1a71bb315f49ffa4f1223cea6fdeef05'),
+    (('ligozat-check',), '06e9f4a3ab559fb3f700ea02d2ac741833896b05ffb5efff2ee3b615e2394f53'),
+    (('eisenstein',), '335c4dada520f8c8b71e219cd67f337d655845c46a17189f1863e5da31f27f21'),
+    (('basis',), '314b8ad8671deac5011d8936f9b27dfe91f849da7dcdee61497a8f0cd73d9387'),
+    (('rep-count',), '5ffe492a07ec03a2a4aa8dbc62e639d72c6ac733701814b64a1c9197656e47ab'),
+    (('derive-table',), 'a09f9902ec59d4816027d13d9a7cc44ffe1d952fe7e1906938a4e69ccf67fa91'),
+    (('verify-tables',), '09c620cdc2bd13e0dfefe750f8f7b80646d88b2352b29997c38b14dce1a651fb'),
+    (('verify-newforms',), '747250f852ca726d65f7c296964379abb0b96ea9df9d71eb52ebb2c27a4f1092'),
+    (('census',), '6f3ed333f13c8fc18970832aacfba10d1c67c27ab4659997878139b4f91f16a6'),
+    (('verify-remarks',), '13f04ee25a92a30d135d4d2540efe25055a756009978fe8c2fd968f0efb58449'),
+)
+
+
+@pytest.mark.parametrize("argv, digest", HELP, ids=[" ".join(h[0]) or "qformlab" for h in HELP])
+def test_help_stdout(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_text_is_rendered_from_the_record_alone():
+    # every record is built first and rendered after, through a JSON round
+    # trip that keeps insertion order and with freshly parsed arguments, so
+    # a renderer that read anything else (a value JSON does not carry, a
+    # global or an argument attribute its builder set) prints other bytes
+    json_digest = {argv[:-1]: d for argv, _, d in GOLDEN if argv[-1] == "--json"}
+    cases = [(argv, code, d) for argv, code, d in GOLDEN if argv[-1] != "--json"]
+    assert sorted(argv for argv, _, _ in cases) == sorted(json_digest)
+    parser = cli._build_parser()
+    records = []
+    for argv, code, _ in cases:
+        args = parser.parse_args(list(argv))
+        record, got = args.func(args)
+        assert got == code
+        records.append(json.loads(json.dumps(record)))
+        assert records[-1] == record  # JSON values only: no tuple, no Fraction
+    for (argv, _, digest), record in zip(cases, records):
+        args = parser.parse_args(list(argv))
+        # only verify-newforms keeps facts its JSON leaves out
+        text_only = record.pop(cli._TEXT_ONLY, None)
+        assert (text_only is not None) == (args.command == "verify-newforms")
+        assert _sha256(json.dumps(record, sort_keys=True) + "\n") == json_digest[argv]
+        if text_only is not None:
+            record[cli._TEXT_ONLY] = text_only
+        assert _sha256("\n".join(args.render(record, args)) + "\n") == digest, argv
+
+
+def test_verify_tables_tags_each_mismatch(capsys, monkeypatch):
+    # no golden case has a mismatch: the printed disputed cell and the first
+    # printed cell of chi(-24) move by 1/3, and each mismatch is tagged from
+    # DISPUTED_CELLS; both outputs were recorded before text and JSON were
+    # rendered from one record
+    (exps, col), = quadforms.DISPUTED_CELLS
+    true_load = quadforms.load_fixture
+
+    def moved(disc):
+        rows = list(true_load(disc))
+        for i, row in enumerate(rows):
+            if i == 0 or row.exponents == exps:
+                vals = list(row.values())
+                vals[col if row.exponents == exps else 0] += Fraction(1, 3)
+                k = len(row.eisenstein)
+                rows[i] = dataclasses.replace(row, eisenstein=tuple(vals[:k]), cusp=tuple(vals[k:]))
+        return tuple(rows)
+
+    monkeypatch.setattr(quadforms, "load_fixture", moved)
+    argv = ["verify-tables", "--char", "-24"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "chi(-24): 20 rows, 2 mismatch(es), 1 undisputed -> FAIL",
+        "  row (5, 0, 0, 1) column 0: derived -1/23, printed 20/69 [UNDISPUTED]",
+        "  row (0, 3, 1, 2) column 5: derived 4, printed 13/3 [DISPUTED]",
+    ]
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"-24": {
+        "mismatches": [
+            {"column": 0, "derived": "-1/23", "exponents": [5, 0, 0, 1], "printed": "20/69"},
+            {"column": 5, "derived": "4", "exponents": [0, 3, 1, 2], "printed": "13/3"},
+        ],
+        "ok": False,
+        "rows": 20,
+    }}
+    parser = cli._build_parser()
+    args = parser.parse_args(argv)
+    record = json.loads(json.dumps(args.func(args)[0]))
+    args = parser.parse_args(argv)
+    assert "\n".join(args.render(record, args)) + "\n" == out
