@@ -42,13 +42,9 @@ class EisensteinSpec:
         return self.label()
 
 
-def eisenstein3(chi_char: DirichletChar, psi: DirichletChar, t: int = 1,
-                precision: int = 61) -> QSeries:
-    """Expansion of E3[chi,psi](t z) with q^0..q^(precision-1) known.
-
-    The default equals spaces.CHECK_PRECISION, which is not imported
-    here because spaces imports this module.
-    """
+def eisenstein3(chi_char: DirichletChar, psi: DirichletChar, t: int,
+                precision: int) -> QSeries:
+    """Expansion of E3[chi,psi](t z) with q^0..q^(precision-1) known."""
     spec = EisensteinSpec(chi_char, psi, t)
     if precision < 1:
         raise ValueError("precision must be at least 1")

@@ -19,6 +19,7 @@ from operator import mul
 from .characters import chi
 
 __all__ = [
+    "ETA_MAX_EXPONENTS",
     "ETA_MAX_LEVEL",
     "EtaQuotient",
     "ModularityReport",
@@ -149,6 +150,13 @@ _ETA_LABEL = re.compile(r"^eta(\d+)\[([-\d,\s]*)\]$")
 # 10^12 (169 exponents) 0.11 s; level 10^16 took 10.3 s to reject its label.
 ETA_MAX_LEVEL = 10**12
 
+# Most exponents, one per divisor of the level, that parse_eta accepts;
+# past it the label is refused before any divisor is listed, since
+# `ligozat_check` builds d(N)^2 cusp-order weights.  ligozat-check, whole
+# command, same guest: level 735134400 (1344 divisors) 0.47 s, 6983776800
+# (2304) 1.6 s, 963761198400 (6720) 13.4 s.
+ETA_MAX_EXPONENTS = 1344
+
 
 def parse_eta(text: str) -> EtaQuotient:
     """Parse 'etaN[r1,r2,...]' with one exponent per divisor of N."""
@@ -162,6 +170,8 @@ def parse_eta(text: str) -> EtaQuotient:
     if not body:
         raise ValueError("empty exponent list in %r" % text)
     exps = [int(part) for part in body.split(",")]
+    if len(exps) > ETA_MAX_EXPONENTS:
+        raise ValueError("%d exponents are above the bound %d" % (len(exps), ETA_MAX_EXPONENTS))
     return EtaQuotient(level, exps)
 
 

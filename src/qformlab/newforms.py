@@ -4,19 +4,23 @@ Five newforms live in the three nontrivial cusp spaces: one with
 character chi(-3) over Q(a) with a^2 - 2a + 9 = 0, one with chi(-8)
 over a quartic field, and three with chi(-24), two rational and one
 quartic.  Each is stored as its coordinate vector over the ordered
-cusp basis of its space.  A q-expansion is built without field
-products: the integer cusp series are summed once per power of the
-field generator, weighted by the coordinates at that power over one
-denominator, and each coefficient is assembled from those sums
-(`_combine`).  `check_eigenform` tests the Hecke relations coefficient
-by coefficient in the field, and `rederive_newform` recovers an
-eigenform independently from a Hecke operator matrix, as a safety net
-against transcription slips in the printed combinations.
+cusp basis of its space.  Like every other reader of basis
+coefficients, this module reads the cusp series as
+`spaces.coefficient_rows`, row n holding their q^n coefficients.  A
+q-expansion is built without field products: each row is dotted once
+per power of the field generator with integer weights, the coordinates
+at that power over one denominator, and each coefficient is assembled
+from those sums (`_combine`).  `check_eigenform` tests the Hecke
+relations coefficient by coefficient in the field, and
+`rederive_newform` recovers an eigenform independently from a Hecke
+operator matrix, itself read off the same rows (`_hecke_matrix`), as a
+safety net against transcription slips in the printed combinations.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .arith import (
     ExactMatrix,
@@ -29,7 +33,7 @@ from .arith import (
 )
 from .characters import chi
 from .etaq import divisors
-from .qseries import GRADE, QSeries
+from .qseries import QSeries
 from .spaces import basis_expansions, build_basis, coefficient_rows, span_solver, sturm_bound
 
 __all__ = [
@@ -128,38 +132,26 @@ def _cusp_expansions(disc: int, precision: int):
 def _combine(scalars, cusp, precision: int) -> QSeries:
     """sum(scalars * cusp series), q^0..q^(precision-1) known.
 
-    The cusp series have integer coefficients at integer powers of q and
-    are known at least through q^(precision-1); each is read by index,
-    coefficient n at q^n.  The sum is taken one generator power at a
-    time.  Scalar i is split into its rational coordinates x_ik on 1, a,
-    ..., a^(d-1); a rational scalar is one coordinate, and a combination
-    of rational scalars has d = 1.  For each power k the cusp series are
-    summed in ints with weights x_ik * den_k, den_k the least common
-    denominator of the coordinates at k.  The coefficient at q^n is built
-    once, from the coordinates S_k[n] / den_k of those sums: a field
-    element, or a Fraction when d = 1, and the int 0 where it vanishes.
-    No field product runs; none is needed, since every scalar is already
-    reduced.
+    The cusp series are read as `coefficient_rows`, row n holding the
+    integer q^n coefficients of every series; a series known less far is
+    an IndexError.  Scalar i is split into its rational coordinates x_ik
+    on 1, a, ..., a^(d-1); a rational scalar is one coordinate, and a
+    combination of rational scalars has d = 1.  For each power k the
+    weights are x_ik * den_k, den_k the least common denominator of the
+    coordinates at k, and S_k[n] is the dot product of those weights with
+    row n.  The coefficient at q^n is built once, from the coordinates
+    S_k[n] / den_k: a field element, or a Fraction when d = 1, and the
+    int 0 where it vanishes.  No field product runs; none is needed,
+    since every scalar is already reduced.
     """
-    used = [(x, s) for x, s in zip(scalars, cusp) if x]
-    if not used:
-        return QSeries.zero(precision)
-    field = next((x.field for x, _ in used if isinstance(x, NumberFieldElement)), None)
+    field = next((x.field for x in scalars if isinstance(x, NumberFieldElement)), None)
     d = 1 if field is None else field.degree
-    coords = [x.coeffs if isinstance(x, NumberFieldElement) else (x,) + (0,) * (d - 1) for x, _ in used]
+    coords = [x.coeffs if isinstance(x, NumberFieldElement) else (x,) + (0,) * (d - 1) for x in scalars]
     dens, weights = zip(*(common_denominator(c[k] for c in coords) for k in range(d)))
-    sums = [[0] * precision for _ in range(d)]
-    for ws, (_, s) in zip(zip(*weights), used):
-        lo = s.val // GRADE
-        terms = [(n, c) for n, c in enumerate(s.coeffs[: max(0, precision - lo)], lo) if c]
-        for w, row in zip(ws, sums):
-            if w:
-                for n, c in terms:
-                    row[n] += w * c
+    rows = coefficient_rows(cusp, precision)
+    sums = [[sum(map(mul, w, row)) for row in rows] for w in weights]
     if field is None:
-        (row,) = sums
-        (den,) = dens
-        out = [Fraction(v, den) if v else 0 for v in row]
+        out = [Fraction(v, dens[0]) if v else 0 for v in sums[0]]
     else:
         out = [
             NumberFieldElement(field, tuple(map(Fraction, col, dens))) if any(col) else 0
@@ -216,8 +208,7 @@ def check_eigenform(name: str, precision: int = 120) -> EigenformReport:
     """a(1) = 1, a(mn) = a(m)a(n) for coprime mn < precision, and
     a(p^2) = a(p)^2 - chi(p) p^2 for p = 5, 7."""
     spec = get_spec(name)
-    f = build_newform(name, precision)
-    a = [f.qcoeff(n) for n in range(precision)]
+    a = build_newform(name, precision).qcoeffs(precision)
     return _hecke_report(name, a, chi(spec.discriminant), precision)
 
 
@@ -257,30 +248,26 @@ def _hecke_report(name: str, a, char, precision: int) -> EigenformReport:
 def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
     """Matrix of T_p on the cusp space, columns in cusp-basis coordinates.
 
-    Every image is solved on q^0..q^12 (its q^0 entry is 0) by the one
-    solver of the space, which is factored once and serves every p and
-    every other reader; a nonzero Eisenstein coordinate is a ValueError.
+    The cusp series are read as `coefficient_rows` through q^(12p):
+    column j of the image of T_p at q^n is rows[p n][j], plus
+    chi(p) p^2 rows[n/p][j] when p | n.  Every image is solved on
+    q^0..q^12 (its q^0 entry is 0) by the one solver of the space, which
+    is factored once and serves every p and every other reader; a
+    nonzero Eisenstein coordinate is a ValueError.
     """
     need = p * sturm_bound() + 1
     basis, cusp = _cusp_expansions(disc, need)
-    char = basis.character
-    nc = len(cusp)
+    rows = coefficient_rows(cusp, need)
+    t = basis.character(p) * p * p
     solver = span_solver(disc)
     columns = []
-    for series in cusp:
-        image = []
-        for n in solver.rows:
-            b = series.qcoeff(p * n)
-            if n % p == 0:
-                b = b + char(p) * p * p * series.qcoeff(n // p)
-            image.append(b)
+    for j in range(len(cusp)):
+        image = [rows[p * n][j] + (t * rows[n // p][j] if n % p == 0 else 0) for n in solver.rows]
         nums = solver.numerators(image)
         if nums is None or any(nums[: solver.ne]):
             raise ValueError("Hecke image left the cusp span (%s)" % INCONSISTENT)
         columns.append([Fraction(v, solver.den) for v in nums[solver.ne :]])
-    return ExactMatrix.from_rows(
-        [[columns[j][i] for j in range(nc)] for i in range(nc)]
-    )
+    return ExactMatrix.from_rows(list(zip(*columns)))
 
 
 def _peel_rational_roots(poly):
@@ -394,8 +381,7 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
         scale = field.embed(lead).inverse()
         combo = tuple(scale * x for x in vec)
         basis, cusp = _cusp_expansions(spec.discriminant, precision)
-        g = _combine(combo, cusp, precision)
-        a = [g.qcoeff(n) for n in range(precision)]
+        a = _combine(combo, cusp, precision).qcoeffs(precision)
         report = _hecke_report("%s/%s" % (name, label), a, basis.character, precision)
         printed_eigenvalue = spec.field.zero()
         for p in ops:

@@ -10,6 +10,7 @@ from qformlab import etaq
 from qformlab.characters import chi
 from qformlab.cli import main
 from qformlab.etaq import (
+    ETA_MAX_EXPONENTS,
     ETA_MAX_LEVEL,
     EtaQuotient,
     character_of,
@@ -82,6 +83,39 @@ def test_huge_level_exits_2_at_once(capsys, command):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: level 100000000000000000 is above the bound %d\n" % ETA_MAX_LEVEL
+
+
+def _one_per_divisor(level):
+    return "eta%d[%s]" % (level, ",".join(["1"] + ["0"] * (len(divisors(level)) - 1)))
+
+
+def test_parse_eta_exponent_bound_is_inclusive(monkeypatch):
+    # 735134400 has exactly ETA_MAX_EXPONENTS divisors
+    assert len(divisors(735134400)) == ETA_MAX_EXPONENTS
+    assert parse_eta(_one_per_divisor(735134400)).level == 735134400
+
+    def unlisted(level):
+        raise AssertionError("divisors(%d) listed" % level)
+
+    # one exponent more is refused before any divisor is listed
+    monkeypatch.setattr(etaq, "divisors", unlisted)
+    label = "eta735134400[%s]" % ",".join(["0"] * (ETA_MAX_EXPONENTS + 1))
+    with pytest.raises(ValueError, match="%d exponents are above the bound %d"
+                       % (ETA_MAX_EXPONENTS + 1, ETA_MAX_EXPONENTS)):
+        parse_eta(label)
+
+
+@pytest.mark.parametrize("command", ["ligozat-check", "eta-expand"])
+def test_many_divisors_exit_2_at_once(capsys, command):
+    # 963761198400 < ETA_MAX_LEVEL has 6720 divisors; ligozat-check ran
+    # 13.4 s on its d(N)^2 cusp-order weights before the bound
+    label = _one_per_divisor(963761198400)
+    start = time.perf_counter()
+    assert main([command, label]) == 2
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 6720 exponents are above the bound %d\n" % ETA_MAX_EXPONENTS
 
 
 def test_lifted():

@@ -321,6 +321,18 @@ def test_combine_matches_scaled_series_sum(combination):
     assert all(got.qcoeff(n) == want.qcoeff(n) for n in range(precision))
 
 
+def test_combine_refuses_series_known_less_far():
+    # f3 from series known through q^19 has true coefficients 8, -30, 20,
+    # ... at q^20..q^29; they must not read as zeros
+    spec = get_spec("f3")
+    _, cusp = _cusp_expansions(-24, 30)
+    short = [QSeries(s.qcoeffs(20), 20) for s in cusp]
+    assert _combine(spec.scalars(), short, 20) == build_newform("f3", 20)
+    assert build_newform("f3", 30).qcoeffs(30)[20:23] == [8, -30, 20]
+    with pytest.raises(IndexError):
+        _combine(spec.scalars(), short, 30)
+
+
 def test_sums_store_a_cancelled_coefficient_as_int_zero():
     # f3 term by term through q^250, forward and reversed: equal values
     # must print the same whatever the order of the summands
