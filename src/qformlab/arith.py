@@ -44,11 +44,6 @@ def format_rational(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" (inverse of format_rational)."""
-    return Fraction(s.strip())
-
-
 def common_denominator(values):
     """(den, numerators) of ints and Fractions: den their least common
     denominator (1 for none), numerators the list of ints with

@@ -59,8 +59,8 @@ class DirichletChar:
     Each supported t is a fundamental discriminant (or 1), so (t/n) is
     periodic in n modulo |t|, the conductor, for every integer n,
     including 0 and negatives.  The character keeps one period of
-    `kronecker` values, built at construction, and reads an int
-    argument from it; any other argument goes through `kronecker`.
+    `kronecker` values, built at construction, and reads every
+    argument from it.
     """
 
     __slots__ = ("discriminant", "conductor", "_period")
@@ -73,9 +73,7 @@ class DirichletChar:
         self._period = tuple(kronecker(discriminant, n) for n in range(self.conductor))
 
     def __call__(self, n: int) -> int:
-        if isinstance(n, int):
-            return self._period[n % self.conductor]
-        return kronecker(self.discriminant, n)
+        return self._period[n % self.conductor]
 
     def is_odd(self) -> bool:
         return self(-1) == -1
@@ -93,17 +91,6 @@ class DirichletChar:
 @lru_cache(maxsize=None)
 def chi(t: int) -> DirichletChar:
     return DirichletChar(t)
-
-
-# row order of the reference table of all primitive characters with
-# conductor dividing 24, and its evaluation columns
-TABLE_ROW_ORDER = (1, -24, -4, 24, 8, -3, -8, 12)
-TABLE_COLUMNS = (1, 5, 7, 11, 13, 17, 19, 23)
-
-
-def character_table():
-    """The 8x8 grid chi_t(u) for the standard row/column order."""
-    return tuple(tuple(chi(t)(u) for u in TABLE_COLUMNS) for t in TABLE_ROW_ORDER)
 
 
 @lru_cache(maxsize=None)

@@ -124,12 +124,6 @@ class EtaQuotient:
     def label(self) -> str:
         return "eta%d[%s]" % (self.level, ",".join(str(r) for r in self.exponents))
 
-    def lifted(self, level: int) -> "EtaQuotient":
-        """The same product read on a multiple of its level."""
-        if level % self.level:
-            raise ValueError("%d is not a multiple of level %d" % (level, self.level))
-        return EtaQuotient(level, dict(self.items()))
-
     def __eq__(self, other):
         if not isinstance(other, EtaQuotient):
             return NotImplemented

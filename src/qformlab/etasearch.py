@@ -349,15 +349,6 @@ def _rhs_terms(identities, precision: int):
         yield nums, rows, den
 
 
-def remark_rhs(identity: RemarkIdentity, precision: int) -> QSeries:
-    """Right-hand side of one identity, q^0..q^(precision-1) known."""
-    [(nums, rows, den)] = _rhs_terms((identity,), precision)
-    return QSeries(
-        [Fraction(sum(map(mul, nums, row)), den) or 0 for row in rows],
-        precision,
-    )
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     label: str

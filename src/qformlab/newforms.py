@@ -250,15 +250,19 @@ def _hecke_matrix(disc: int, p: int) -> ExactMatrix:
 
     The cusp series are read as `coefficient_rows` through q^(12p):
     column j of the image of T_p at q^n is rows[p n][j], plus
-    chi(p) p^2 rows[n/p][j] when p | n.  Every image is solved on
-    q^0..q^12 (its q^0 entry is 0) by the one solver of the space, which
-    is factored once and serves every p and every other reader; a
-    nonzero Eisenstein coordinate is a ValueError.
+    chi(p) p^2 rows[n/p][j] when p | n, with chi the nebentypus taken
+    mod 24.  It vanishes at p | 24, where the read is U_p, rows[p n][j]
+    alone.  Every image is solved on q^0..q^12 (its q^0 entry is 0) by
+    the one solver of the space, which is factored once and serves every
+    p and every other reader; a nonzero Eisenstein coordinate is a
+    ValueError, and so is a p that is not prime.
     """
+    if p < 2 or len(divisors(p)) != 2:
+        raise ValueError("Hecke operator T_%d: %d is not a prime" % (p, p))
     need = p * sturm_bound() + 1
     basis, cusp = _cusp_expansions(disc, need)
     rows = coefficient_rows(cusp, need)
-    t = basis.character(p) * p * p
+    t = basis.character(p) * p * p if 24 % p else 0
     solver = span_solver(disc)
     columns = []
     for j in range(len(cusp)):
@@ -299,13 +303,13 @@ class RederivedNewform:
     """Eigenform recovered from a Hecke operator, for cross-checking."""
 
     name: str
-    operator: tuple  # primes p whose T_p were summed; () when failed
-    field_poly: tuple  # ascending monic; () when rederivation failed
-    combo: tuple  # normalized cusp-basis coordinates over the new field
-    report: EigenformReport | None
-    printed_minpoly: tuple
-    minpoly_match: bool
     note: str
+    operator: tuple = ()  # primes p whose T_p were summed
+    field_poly: tuple = ()  # ascending monic
+    combo: tuple = ()  # normalized cusp-basis coordinates over the new field
+    report: EigenformReport | None = None
+    printed_minpoly: tuple = ()
+    minpoly_match: bool = False
 
     @property
     def ok(self) -> bool:
@@ -325,10 +329,11 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
     Tries each operator (a sum of T_p over the listed primes) on the
     cusp space: strips rational eigenvalues from the minimal polynomial
     of its matrix, read off one reduction, and extracts the normalized
-    eigenvector over the field of the leftover factor.  The T_p with p
-    prime to 24 are normal for the Petersson product, so their sums are
+    eigenvector over the field of the leftover factor.  Only the T_p with
+    p prime to 24 are normal for the Petersson product, so their sums are
     diagonalizable and that minimal polynomial is the squarefree part
-    of the characteristic polynomial.  A single T_p need not separate
+    of the characteristic polynomial; U_2 on chi(-3), with minimal
+    polynomial x^2, is not diagonalizable.  A single T_p need not separate
     the conjugacy orbit (all four embeddings of a degree-4 form may
     share a(p) up to sign), which is why summed operators are in the
     default list.  The result carries its own
@@ -389,21 +394,12 @@ def rederive_newform(name: str, operators=_OPERATORS, precision: int = 120):
         printed_minpoly = minimal_polynomial(printed_eigenvalue)
         return RederivedNewform(
             name=name,
+            note="ok",
             operator=ops,
             field_poly=factor,
             combo=combo,
             report=report,
             printed_minpoly=printed_minpoly,
             minpoly_match=printed_minpoly == factor,
-            note="ok",
         )
-    return RederivedNewform(
-        name=name,
-        operator=(),
-        field_poly=(),
-        combo=(),
-        report=None,
-        printed_minpoly=(),
-        minpoly_match=False,
-        note=last_note,
-    )
+    return RederivedNewform(name=name, note=last_note)

@@ -135,26 +135,6 @@ class QSeries:
 # integer eta-product kernel (plain q exponents, dense int lists)
 # ---------------------------------------------------------------------------
 
-def euler_coeffs(L: int):
-    """prod_{n>=1} (1 - q^n) mod q^L by the pentagonal number theorem."""
-    out = [0] * L
-    if L > 0:
-        out[0] = 1
-    m = 1
-    while True:
-        g1 = m * (3 * m - 1) // 2
-        g2 = m * (3 * m + 1) // 2
-        if g1 >= L and g2 >= L:
-            break
-        s = 1 if m % 2 == 0 else -1
-        if g1 < L:
-            out[g1] = s
-        if g2 < L:
-            out[g2] = s
-        m += 1
-    return out
-
-
 # exponent tuple -> (unit coefficients a, log-derivative terms g), both
 # known for the same q-steps so far, least recently used first;
 # perfbench/tracing.py reads it under this older name
@@ -347,16 +327,6 @@ def eta_unit_coeffs(exponents_by_divisor, L: int):
 # ---------------------------------------------------------------------------
 # eta expansions
 # ---------------------------------------------------------------------------
-
-def eta_expansion(delta: int, precision: int) -> QSeries:
-    """q^(delta/24) prod_{n>=1} (1 - q^(delta n)), known below q^precision."""
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
-    n = _steps(delta, precision)
-    coeffs = [0] * n
-    coeffs[::delta] = euler_coeffs((n + delta - 1) // delta)
-    return QSeries(coeffs, precision, delta)
-
 
 def eta_quotient_expansion(f: EtaQuotient, precision: int) -> QSeries:
     """Expansion of prod eta^{r_delta}(delta z), known below q^precision;

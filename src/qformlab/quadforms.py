@@ -240,10 +240,6 @@ class TableComparison:
     rows: int
     mismatches: tuple  # ((exponents, column, derived, printed), ...)
 
-    @property
-    def clean(self) -> bool:
-        return not self.mismatches
-
     def undisputed_mismatches(self) -> tuple:
         return tuple(
             m for m in self.mismatches if (m[0], m[1]) not in DISPUTED_CELLS

@@ -100,11 +100,6 @@ class SpaceBasis:
     def dimension(self) -> int:
         return len(self.eisenstein) + len(self.cusp)
 
-    def labels(self) -> tuple:
-        return tuple(s.label() for s in self.eisenstein) + tuple(
-            f.label() for f in self.cusp
-        )
-
 
 def check_discriminant(disc: int):
     """ValueError unless disc names one of the four spaces."""

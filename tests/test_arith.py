@@ -13,7 +13,6 @@ from qformlab.arith import (
     common_denominator,
     format_rational,
     minimal_polynomial,
-    parse_rational,
 )
 
 
@@ -337,7 +336,7 @@ def test_common_denominator_is_the_least(values):
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=97))
 def test_rational_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
+    assert Fraction(format_rational(x)) == x
 
 
 def test_format_rational():

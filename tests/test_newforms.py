@@ -138,15 +138,16 @@ def test_hecke_matrices_match_recorded_digests(disc):
 @pytest.mark.parametrize("disc", spaces.SPACE_DISCRIMINANTS)
 def test_hecke_matrix_matches_a_cusp_column_solve(disc):
     # the construction the space's one solver replaced: every T_p image
-    # solved by solve_linear on the cusp columns alone, on q^1..q^12
+    # solved by solve_linear on the cusp columns alone, on q^1..q^12; at
+    # p = 2, 3 the nebentypus (chi mod 24) vanishes, and T_p is U_p
     rows = range(1, spaces.sturm_bound() + 1)
-    for p in (5, 7, 11, 13):
+    for p in (2, 3, 5, 7, 11, 13):
         basis, cusp = _cusp_expansions(disc, p * spaces.sturm_bound() + 1)
         reference = ExactMatrix.from_rows([[e.qcoeff(n) for e in cusp] for n in rows])
         columns = []
         for e in cusp:
             image = [
-                e.qcoeff(p * n) + (basis.character(p) * p * p * e.qcoeff(n // p) if n % p == 0 else 0)
+                e.qcoeff(p * n) + (basis.character(p) * p * p * e.qcoeff(n // p) if n % p == 0 and 24 % p else 0)
                 for n in rows
             ]
             status, sol = reference.solve_linear(image)
@@ -191,6 +192,43 @@ HECKE_MINPOLYS = {
 def test_hecke_minimal_polynomials_are_squarefree_charpoly_parts(disc):
     for p, poly in HECKE_MINPOLYS[disc].items():
         assert minimal_polynomial(_hecke_matrix(disc, p)) == poly, p
+
+
+# minimal polynomial of U_p = _hecke_matrix(disc, p) at p | 24, ascending;
+# U_2 on chi(-3) is x^2, not squarefree, so U_p need not be diagonalizable
+U_MINPOLYS = {
+    -3: {2: (0, 0, 1), 3: (27, 3, 1, 1)},
+    -4: {2: (0, 4, 2, 1), 3: (3, 0, 1)},
+    -8: {2: (32, 0, 4, 2, 0, 1), 3: (-27, -6, 6, 2, 1)},
+    -24: {2: (-64, 0, -8, 0, 2, 0, 1), 3: (-729, 0, -9, 0, 1, 0, 1)},
+}
+
+
+@pytest.mark.parametrize("disc", sorted(U_MINPOLYS))
+def test_u_p_minimal_polynomials(disc):
+    for p, poly in U_MINPOLYS[disc].items():
+        assert minimal_polynomial(_hecke_matrix(disc, p)) == poly, p
+
+
+@pytest.mark.parametrize("p", (1, 4, 25))
+def test_hecke_matrix_refuses_a_non_prime(monkeypatch, p):
+    # refused before any cusp series is expanded
+    def expand(*args):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(newforms, "_cusp_expansions", expand)
+    with pytest.raises(ValueError, match="T_%d: %d is not a prime" % (p, p)):
+        _hecke_matrix(-3, p)
+
+
+def test_rederive_with_u_p_reports_why_it_failed():
+    red = rederive_newform("f1", operators=((2,),))
+    assert red.note == "T_2 splits rationally; no residual factor"
+    assert not red.ok and red.operator == () and red.report is None
+    # (x^2 - 3)(x^2 + 2x + 9): the kernel over the quartic meets a zero divisor
+    red = rederive_newform("f2", operators=((3,),))
+    assert red.note == "T_3 residual factor is reducible"
+    assert not red.ok and red.field_poly == () and not red.minpoly_match
 
 
 @pytest.mark.parametrize("name", ("f1", "f2", "f5"))

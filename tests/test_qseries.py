@@ -8,18 +8,17 @@ from qformlab import qseries
 from qformlab.qseries import (
     GRADE,
     QSeries,
-    eta_expansion,
     eta_quotient_expansion,
     eta_unit_coeffs,
-    euler_coeffs,
 )
 from qformlab.characters import chi
 from qformlab.eisenstein import eisenstein3
 from qformlab.etaq import EtaQuotient, parse_eta
-from qformlab.etasearch import REMARK_IDENTITIES, remark_rhs
+from qformlab.etasearch import REMARK_IDENTITIES
 from qformlab.newforms import build_newform
 from qformlab.quadforms import genfun
 from qformlab.spaces import build_basis
+from reference import eta_expansion, euler_coeffs, remark_rhs
 
 
 def test_grade_convention():

@@ -179,7 +179,7 @@ def test_derive_formula_matches_fixture_row():
 def test_compare_with_fixture_clean(disc):
     comp = compare_with_fixture(disc)
     assert comp.rows == {-3: 20, -4: 24, -8: 20, -24: 20}[disc]
-    assert comp.clean
+    assert not comp.mismatches
     assert not comp.undisputed_mismatches()
 
 
